@@ -1,22 +1,19 @@
-"""Hot convolution kernels.
+"""Hot convolution kernel.
 
-The numba kernel is the default; set BIHARM_NO_NUMBA=1 to force the pure
-numpy path. Both accumulate taps in the same fixed order (row offset outer,
-column offset inner, ascending), so their outputs are bit-identical.
+Taps accumulate in a fixed order (row offset outer, column offset inner,
+ascending), the same order as `convolve_reference`, so outputs are
+bit-identical to it.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# Always False; kept because perfbench/run.py prints it as provenance.backend.
+NUMBA_ENABLED = False
 
-def _numba_disabled() -> bool:
-    return os.environ.get("BIHARM_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
-
-def conv_rows_numpy(padded: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
-                    row0: int, row1: int) -> None:
+def conv_rows(padded: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
+              row0: int, row1: int) -> None:
     """Fill output rows [row0, row1) from the radius-padded input."""
     k = coeffs.shape[0]
     w = out.shape[1]
@@ -25,28 +22,3 @@ def conv_rows_numpy(padded: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
     for qi in range(k):
         for pi in range(k):
             block += coeffs[qi, pi] * padded[row0 + qi : row1 + qi, pi : pi + w]
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via BIHARM_NO_NUMBA")
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def conv_rows_numba(padded, coeffs, out, row0, row1):
-        k = coeffs.shape[0]
-        w = out.shape[1]
-        for j in range(row0, row1):
-            for i in range(w):
-                acc = 0.0
-                for qi in range(k):
-                    for pi in range(k):
-                        acc += coeffs[qi, pi] * padded[j + qi, i + pi]
-                out[j, i] = acc
-
-    NUMBA_ENABLED = True
-    conv_rows = conv_rows_numba
-except ImportError:
-    NUMBA_ENABLED = False
-    conv_rows_numba = None
-    conv_rows = conv_rows_numpy

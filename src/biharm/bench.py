@@ -1,11 +1,10 @@
-"""Throughput benchmark: reference engine vs tiled engine, numba vs numpy kernel."""
+"""Throughput benchmark: reference engine vs tiled engine."""
 from __future__ import annotations
 
 import time
 
 import numpy as np
 
-from . import _kernels
 from .convolve import Boundary, convolve, convolve_reference
 from .raster import Raster
 from .scene import gaussian
@@ -37,33 +36,20 @@ def run_benchmark(
     def tiled():
         return convolve(raster, stencil, Boundary.MIRROR, tile_height, workers)
 
-    # warm-up also covers JIT compilation
+    # the warm-up runs double as the bit-identity check
     ref_out = convolve_reference(raster, stencil, Boundary.MIRROR)
     tiled_out = tiled()
-    identical = bool(np.array_equal(ref_out.data, tiled_out.data))
-
-    results = {
-        "backend": "numba" if _kernels.NUMBA_ENABLED else "numpy",
+    reference_pps = pixels / _time_best(
+        lambda: convolve_reference(raster, stencil, Boundary.MIRROR), iters
+    )
+    tiled_pps = pixels / _time_best(tiled, iters)
+    return {
         "width": width,
         "height": height,
         "workers": workers,
         "tile_height": tile_height,
-        "bit_identical": identical,
-        "reference_pps": pixels / _time_best(
-            lambda: convolve_reference(raster, stencil, Boundary.MIRROR), iters
-        ),
-        "tiled_pps": pixels / _time_best(tiled, iters),
+        "bit_identical": bool(np.array_equal(ref_out.data, tiled_out.data)),
+        "reference_pps": reference_pps,
+        "tiled_pps": tiled_pps,
+        "speedup_tiled_vs_reference": tiled_pps / reference_pps,
     }
-    if _kernels.NUMBA_ENABLED:
-        # time the pure numpy fallback kernel through the same tiling
-        saved = _kernels.conv_rows
-        _kernels.conv_rows = _kernels.conv_rows_numpy
-        try:
-            tiled()  # warm-up
-            results["tiled_numpy_pps"] = pixels / _time_best(tiled, iters)
-        finally:
-            _kernels.conv_rows = saved
-    results["speedup_tiled_vs_reference"] = (
-        results["tiled_pps"] / results["reference_pps"]
-    )
-    return results

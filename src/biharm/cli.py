@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -135,6 +136,10 @@ def _cmd_detect(args):
 
 def _cmd_compare(args):
     bands = _load_input(args.in_path)
+    if not 0 <= args.band < len(bands):
+        print(f"biharm: error: --band {args.band} is out of range for "
+              f"{len(bands)} band(s)", file=sys.stderr)
+        return 2
     truth_raw = _load_input(args.truth)[0]
     truth = Raster._from_array((truth_raw.data != 0).astype(np.float64))
     band = bands[args.band]
@@ -171,11 +176,7 @@ def _cmd_synth(args):
     with open(args.spec) as fh:
         spec = parse_scene_spec(fh.read())
     if args.seed is not None:
-        spec = type(spec)(
-            width=spec.width, height=spec.height, band_count=spec.band_count,
-            level=spec.level, sigma=spec.sigma, trend=spec.trend,
-            seed=args.seed, anomalies=spec.anomalies,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     bands, truth = synth_scene(spec)
     _write_output(bands, args.out_path)
     if args.truth_out:
@@ -194,11 +195,21 @@ def _cmd_bench(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_engine_flags(p):
     p.add_argument("--boundary", default="mirror",
                    choices=["mirror", "replicate", "zero", "wrap"])
-    p.add_argument("--tile-height", type=int, default=64)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--tile-height", type=_positive_int, default=64)
+    p.add_argument("--workers", type=_positive_int, default=None)
 
 
 def _add_stencil_flags(p):
@@ -224,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="Jacobi smoothing of every band")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=1)
     _add_stencil_flags(p)
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_smooth)
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--mode", default="residual", choices=["residual", "highpass"])
     p.add_argument("--sigma-k", type=float, default=3.0)
-    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--mask-out", help="write union threshold mask as PGM")
     _add_stencil_flags(p)
     _add_engine_flags(p)
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="-", help="report path, - for stdout")
     p.add_argument("--band", type=int, default=0)
     p.add_argument("--sigma-k", type=float, default=3.0)
-    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--lx", type=float, default=1.0)
     p.add_argument("--ly", type=float, default=1.0)
     _add_engine_flags(p)
@@ -268,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="reference vs tiled engine throughput")
     p.add_argument("--size", default="2048x2048")
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--tile-height", type=int, default=64)
+    p.add_argument("--iters", type=_positive_int, default=3)
+    p.add_argument("--workers", type=_positive_int, default=4)
+    p.add_argument("--tile-height", type=_positive_int, default=64)
     p.set_defaults(func=_cmd_bench)
 
     return parser

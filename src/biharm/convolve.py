@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import conv_rows
 from .raster import Raster
 from .stencil import Stencil
 
@@ -49,10 +49,7 @@ def _check_dims(r: Raster, s: Stencil, b: Boundary) -> None:
 
 
 def _padded(r: Raster, s: Stencil, b: Boundary) -> np.ndarray:
-    mode = _PAD_MODE[b]
-    if mode == "constant":
-        return np.pad(r.data, s.radius, mode="constant", constant_values=0.0)
-    return np.pad(r.data, s.radius, mode=mode)
+    return np.pad(r.data, s.radius, mode=_PAD_MODE[b])
 
 
 def convolve_reference(r: Raster, s: Stencil, b: Boundary = Boundary.MIRROR) -> Raster:
@@ -96,11 +93,11 @@ def convolve(
     tiles = [(r0, min(r0 + tile_height, h)) for r0 in range(0, h, tile_height)]
     if workers <= 1 or len(tiles) == 1:
         for row0, row1 in tiles:
-            _kernels.conv_rows(padded, coeffs, out, row0, row1)
+            conv_rows(padded, coeffs, out, row0, row1)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_kernels.conv_rows, padded, coeffs, out, row0, row1)
+                pool.submit(conv_rows, padded, coeffs, out, row0, row1)
                 for row0, row1 in tiles
             ]
             for fut in futures:

@@ -45,6 +45,35 @@ def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--iters", "0"],
+    ["smooth", "--workers", "0"],
+    ["smooth", "--tile-height", "x"],
+    ["detect", "--tile-height", "0"],
+    ["detect", "--workers", "-5"],
+    ["compare", "--iters", "0"],
+    ["compare", "--band", "-1"],
+    ["compare", "--band", "3"],
+    ["bench", "--iters", "0"],
+    ["bench", "--workers", "0"],
+    ["bench", "--tile-height", "0"],
+])
+def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    scene, truth = str(tmp_path / "scene.bfr"), str(tmp_path / "truth.pgm")
+    assert run(["synth", "--spec", spec, "--out", scene, "--truth-out", truth]) == 0
+    io = {
+        "smooth": ["--in", scene, "--out", str(tmp_path / "o.bfr")],
+        "detect": ["--in", scene, "--out", str(tmp_path / "o.bfr")],
+        "compare": ["--in", scene, "--truth", truth],
+        "bench": ["--size", "64x64"],
+    }
+    capsys.readouterr()
+    assert run(argv[:1] + io[argv[0]] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
 def test_runtime_error_exit_1(tmp_path, capsys):
     assert run(["smooth", "--in", str(tmp_path / "missing.bfr"),
                 "--out", str(tmp_path / "o.bfr")]) == 1

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from biharm import _kernels
 from biharm.convolve import Boundary, convolve, convolve_reference
 from biharm.raster import Raster
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
@@ -115,20 +114,6 @@ def test_interior_independent_of_policy(rng):
     outputs = [convolve(Raster(data), s, p).data[2:-2, 2:-2] for p in ALL_POLICIES]
     for other in outputs[1:]:
         assert np.array_equal(outputs[0], other)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend disabled")
-def test_numba_and_numpy_kernels_bit_identical(rng):
-    data = rng.normal(0, 100, (33, 29))
-    s = biharmonic_stencil(0.75, 1.5)
-    fast = convolve(Raster(data), s, Boundary.MIRROR, tile_height=5, workers=4)
-    saved = _kernels.conv_rows
-    _kernels.conv_rows = _kernels.conv_rows_numpy
-    try:
-        slow = convolve(Raster(data), s, Boundary.MIRROR, tile_height=5, workers=4)
-    finally:
-        _kernels.conv_rows = saved
-    assert np.array_equal(fast.data, slow.data)
 
 
 def test_randomized_identity_sweep(rng):
