@@ -1,6 +1,7 @@
 """File formats: PGM (P2/P5) for single bands, BFR1 container for float band sets."""
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -18,35 +19,23 @@ class UnsupportedFormatError(FormatError):
     """Recognized container but unsupported parameters (e.g. maxval)."""
 
 
-def _next_token(data: bytes, pos: int):
-    """Skip PGM whitespace/comments, return (token, end_pos)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FormatError(f"parse error: unexpected end of header at byte {pos}")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+# one PGM token: skip whitespace and #-to-end-of-line comments, then capture
+# the next run of non-space, non-# bytes; empty only at the end of the data
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]*)")
+
+
+def _token_int(m: re.Match, what: str) -> int:
+    if not m[1]:
+        raise FormatError(f"parse error: unexpected end of header at byte {m.end()}")
+    try:
+        return int(m[1])
+    except ValueError:
+        raise FormatError(f"parse error: bad {what} {m[1]!r} at byte {m.start()}") from None
 
 
 def _header_int(data: bytes, pos: int, what: str):
-    tok, end = _next_token(data, pos)
-    try:
-        value = int(tok)
-    except ValueError:
-        raise FormatError(
-            f"parse error: bad {what} {tok!r} at byte {pos}"
-        ) from None
-    return value, end
+    m = _TOKEN.match(data, pos)
+    return _token_int(m, what), m.end()
 
 
 def load_pgm(path) -> Raster:
@@ -65,11 +54,16 @@ def load_pgm(path) -> Raster:
         raise UnsupportedFormatError(f"unsupported maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        values = []
-        for _ in range(count):
-            v, pos = _header_int(data, pos, "sample")
-            values.append(v)
-        arr = np.array(values, dtype=np.float64)
+        try:
+            tokens = _TOKEN.findall(data, pos)[:count]
+            arr = np.array(list(map(int, tokens)), dtype=np.float64)
+        except ValueError:
+            # rescan to raise for the first bad token, or for the empty one
+            # that ends a short file
+            for m in _TOKEN.finditer(data, pos):
+                _token_int(m, "sample")
+        except OverflowError:
+            raise FormatError(f"parse error: sample outside [0, {maxval}]") from None
     else:
         # exactly one whitespace byte separates maxval from the payload
         if pos >= len(data) or not data[pos : pos + 1].isspace():
@@ -117,7 +111,11 @@ def save_bandset(b: BandSet, path) -> None:
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
     for band in b:
-        parts.append(np.ascontiguousarray(band.data, dtype="<f4").tobytes())
+        with np.errstate(over="ignore"):
+            samples = np.ascontiguousarray(band.data, dtype="<f4")
+        if not np.isfinite(samples).all():
+            raise ValueError("samples exceed the float32 range of BFR1")
+        parts.append(samples.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 

@@ -71,29 +71,33 @@ def biharmonic_stencil(lx: float = 1.0, ly: float = 1.0) -> Stencil:
     Applying it to an image approximates the biharmonic operator; at
     lx = ly = 1 the grid is the integer template with center 20.
     """
-    if not (lx > 0 and ly > 0):
-        raise ValueError(f"increments must be positive, got lx={lx}, ly={ly}")
-    lx2, ly2 = lx * lx, ly * ly
-    lx4, ly4 = lx2 * lx2, ly2 * ly2
+    if not (0 < lx < np.inf and 0 < ly < np.inf):
+        raise ValueError(f"increments must be positive and finite, got lx={lx}, ly={ly}")
     c = np.zeros((5, 5))
 
     def put(p, q, value):
         c[q + 2, p + 2] = value
 
-    put(-2, 0, 1.0 / lx4)
-    put(2, 0, 1.0 / lx4)
-    put(0, -2, 1.0 / ly4)
-    put(0, 2, 1.0 / ly4)
-    for p in (-1, 1):
-        for q in (-1, 1):
-            put(p, q, 2.0 / (lx2 * ly2))
-    axis_x = -4.0 * (lx2 + ly2) / (lx4 * ly2)
-    axis_y = -4.0 * (lx2 + ly2) / (lx2 * ly4)
-    put(-1, 0, axis_x)
-    put(1, 0, axis_x)
-    put(0, -1, axis_y)
-    put(0, 1, axis_y)
-    put(0, 0, 2.0 * (3.0 * lx4 + 3.0 * ly4 + 4.0 * lx2 * ly2) / (lx4 * ly4))
+    # numpy scalars let an underflowed power divide to inf instead of raising
+    with np.errstate(all="ignore"):
+        lx2, ly2 = np.float64(lx) * lx, np.float64(ly) * ly
+        lx4, ly4 = lx2 * lx2, ly2 * ly2
+        put(-2, 0, 1.0 / lx4)
+        put(2, 0, 1.0 / lx4)
+        put(0, -2, 1.0 / ly4)
+        put(0, 2, 1.0 / ly4)
+        for p in (-1, 1):
+            for q in (-1, 1):
+                put(p, q, 2.0 / (lx2 * ly2))
+        axis_x = -4.0 * (lx2 + ly2) / (lx4 * ly2)
+        axis_y = -4.0 * (lx2 + ly2) / (lx2 * ly4)
+        put(-1, 0, axis_x)
+        put(1, 0, axis_x)
+        put(0, -1, axis_y)
+        put(0, 1, axis_y)
+        put(0, 0, 2.0 * (3.0 * lx4 + 3.0 * ly4 + 4.0 * lx2 * ly2) / (lx4 * ly4))
+    if not np.isfinite(c).all():
+        raise ValueError(f"increments lx={lx}, ly={ly} give non-finite coefficients")
     return Stencil(radius=2, coeffs=c, lx=lx, ly=ly)
 
 

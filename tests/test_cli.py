@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,29 @@ def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
     assert run(argv[:1] + io[argv[0]] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["stencil", "--lx", "1e-200"], "non-finite coefficients"),
+    (["stencil", "--lx", "inf"], "positive and finite"),
+    (["smooth", "--in", "{scene}", "--out", "{out}", "--lx", "1e-100"], "non-finite"),
+    (["smooth", "--in", "{scene}", "--out", "{out}", "--iters", "400"], "float32 range"),
+    (["classify", "--in", "{scene}", "--roi", "{roi}", "--out", "{out}"],
+     "parse error: sample outside [0, 255]"),
+])
+def test_bad_values_exit_1_without_output(argv, message, tmp_path, capsys, rng):
+    paths = {"scene": tmp_path / "scene.bfr", "roi": tmp_path / "roi.pgm",
+             "out": tmp_path / "out.bfr"}
+    save_bandset(BandSet([Raster(rng.normal(100, 10, (32, 32)))]), paths["scene"])
+    paths["roi"].write_bytes(b"P2\n32 32\n255\n" + b"1 " * 1023 + b"1" + b"0" * 400)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
+        assert run([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("biharm: error: ") and message in err
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
 
 
 def test_runtime_error_exit_1(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biharm.formats import (
     FormatError,
@@ -67,6 +70,41 @@ def test_bad_header_token(tmp_path):
     path.write_bytes(b"P2\nxx 2\n255\n0 0\n")
     with pytest.raises(FormatError, match="byte"):
         load_pgm(path)
+
+
+HUGE_P2 = b"P2\n2 1\n255\n5 1" + b"0" * 400
+P2_CASES = {
+    "truncated": (b"P2\n2 2\n255\n1 2 3\n",
+                  "parse error: unexpected end of header at byte 17"),
+    "bad-token": (b"P2\n2 2\n255\n1 x 3 4\n",
+                  "parse error: bad sample b'x' at byte 12"),
+    "bad-token-before-short-end": (b"P2\n2 2\n255\n1 x\n",
+                                   "parse error: bad sample b'x' at byte 12"),
+    "hash-ends-token": (b"P2\n2 1\n255\n12#c\n7\n", [12, 7]),
+    "comments-between-samples": (b"P2\n2 2\n255\n1 # one\n2\n# three\n3 4", [1, 2, 3, 4]),
+    "cr-only-line-ends": (b"P2\r2 2\r255\r# c\r1 2\r3 4\r", [1, 2, 3, 4]),
+    "vt-ff-whitespace": (b"P2\x0b2\x0c2\x0b255\x0c1\x0b2\x0c3\x0b4", [1, 2, 3, 4]),
+    "int-syntax": (b"P2\n2 1\n255\n+5 1_0\n", [5, 10]),
+    "extra-tokens-ignored": (b"P2\n2 1\n255\n1 2 3 junk\n", [1, 2]),
+    "comment-words-not-samples": (b"P2\n2 2\n255\n1 2 3 # 4 5\n",
+                                  "parse error: unexpected end of header at byte 23"),
+    "above-maxval": (b"P2\n2 1\n100\n5 101\n", "parse error: sample 101 exceeds maxval 100"),
+    "negative": (b"P2\n2 1\n255\n5 -1\n", "parse error: negative sample"),
+    # 10**400 does not fit a float64: rejected as out of range, not an OverflowError
+    "huge-sample": (HUGE_P2, "parse error: sample outside [0, 255]"),
+}
+
+
+@pytest.mark.parametrize("data,expected", P2_CASES.values(), ids=P2_CASES.keys())
+def test_p2_behaviour_table(tmp_path, data, expected):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as info:
+            load_pgm(path)
+        assert str(info.value) == expected
+    else:
+        assert load_pgm(path).data.ravel().tolist() == expected
 
 
 def test_save_pgm_clamp_and_round(tmp_path):
@@ -156,3 +194,58 @@ def test_bandset_shape_mismatch():
         BandSet([Raster([[1.0]]), Raster([[1.0, 2.0]])])
     with pytest.raises(ValueError):
         BandSet([Raster([[1.0]])], ["a", "b"])
+
+
+def test_save_bandset_rejects_float32_overflow(tmp_path):
+    path = tmp_path / "b.bfr"
+    with pytest.raises(ValueError, match="float32 range"):
+        save_bandset(BandSet([Raster([[1.0, 1e39]])], ["b"]), path)
+    assert not path.exists()
+
+
+VALID_FILES = [
+    b"P2\n# c\n3 2\n255\n0 1 2\r3 4 5\n",
+    b"P5\n3 2\n255\n" + bytes(range(6)),
+    b"P5\n2 1\n65535\n" + struct.pack(">HH", 1, 40000),
+    b"BFR1" + struct.pack("<IIIH", 2, 1, 2, 1) + b"a" + struct.pack("<H", 2) + "é".encode()
+    + struct.pack("<4f", 1.0, -2.5, 3.0, 4.0),
+]
+NASTY = [
+    b"\xff\xfe",  # bad UTF-8
+    struct.pack("<I", 0xFFFFFFFF),  # huge BFR1 dimension
+    b"99999999999",  # huge PGM dimension
+    b"1" + b"0" * 400,  # a sample no float64 holds
+    b"#",
+    b"-1",
+]
+
+
+@st.composite
+def mutated_files(draw):
+    data = bytearray(draw(st.sampled_from(VALID_FILES)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 4))
+        data[pos : pos + cut] = draw(st.one_of(st.binary(max_size=4), st.sampled_from(NASTY)))
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_files())
+@example(HUGE_P2)
+def test_mutated_files_load_or_raise_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    for load in (load_pgm, load_bandset):
+        tracemalloc.start()
+        try:
+            load(path)
+        except FormatError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # inputs are tiny, so no reader may allocate for declared sizes first
+        assert peak < 2**20

@@ -56,6 +56,15 @@ def test_nonpositive_increment_rejected(lx, ly):
         biharmonic_stencil(lx, ly)
 
 
+@pytest.mark.parametrize("lx,ly", [
+    (1e-200, 1.0), (1.0, 1e-100), (1e-80, 1.0), (1e100, 1.0),
+    (float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0),
+])
+def test_non_finite_stencil_rejected(lx, ly):
+    with pytest.raises(ValueError, match="finite"):
+        biharmonic_stencil(lx, ly)
+
+
 def test_laplacian_baseline():
     s = laplacian_baseline()
     assert s.radius == 1
