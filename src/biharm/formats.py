@@ -60,7 +60,12 @@ def load_pgm(path) -> Raster:
         except ValueError:
             # rescan to raise for the first bad token, or for the empty one
             # that ends a short file
-            for m in _TOKEN.finditer(data, pos):
+            for have, m in enumerate(_TOKEN.finditer(data, pos)):
+                if not m[1]:
+                    raise FormatError(
+                        f"parse error: truncated samples at byte {m.end()} "
+                        f"(need {count}, have {have})"
+                    ) from None
                 _token_int(m, "sample")
         except OverflowError:
             raise FormatError(f"parse error: sample outside [0, {maxval}]") from None

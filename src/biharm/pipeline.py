@@ -125,15 +125,6 @@ class DetectionMetrics:
         return cls(tp, fp, tn, fn, precision, recall, accuracy, auc)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    average = (starts + ends + 1) / 2.0
-    return average[inverse]
-
-
 def ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     """Mann-Whitney AUC of |scores| against the binary truth, ties averaged.
 
@@ -144,8 +135,14 @@ def ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = _average_ranks(np.abs(scores).ravel())
-    rank_sum = float(ranks[truth].sum())
+    values = np.abs(scores).ravel()
+    ordered = np.sort(values)
+    # only the positives' ranks are summed: a value tied over sorted
+    # positions [start, end) has the 1-based average rank (start + end + 1) / 2
+    positives = values[truth]
+    starts = np.searchsorted(ordered, positives, "left")
+    ends = np.searchsorted(ordered, positives, "right")
+    rank_sum = float(((starts + ends + 1) / 2.0).sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -155,10 +152,12 @@ def detector_metrics(m: AnomalyMap, truth: Raster, k_sigma: float = 3.0) -> Dete
     auc = ranking_auc(m.scores.data, truth.data)
     mask = threshold_mask(m, k_sigma).data.astype(bool)
     t = truth.data.astype(bool)
-    tp = int(np.sum(mask & t))
-    fp = int(np.sum(mask & ~t))
-    fn = int(np.sum(~mask & t))
-    tn = int(np.sum(~mask & ~t))
+    tp = int(np.count_nonzero(mask & t))
+    flagged = int(np.count_nonzero(mask))
+    positive = int(np.count_nonzero(t))
+    fp = flagged - tp
+    fn = positive - tp
+    tn = t.size - flagged - fn
     return DetectionMetrics.from_counts(tp, fp, tn, fn, auc)
 
 

@@ -22,12 +22,16 @@ class Stencil:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError(f"increments must be positive, got lx={self.lx}, ly={self.ly}")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise ValueError(
+                f"increments must be positive and finite, got lx={self.lx}, ly={self.ly}"
+            )
         k = 2 * self.radius + 1
         arr = np.asarray(self.coeffs, dtype=np.float64)
         if arr.shape != (k, k):
             raise ValueError(f"coefficient grid must be {k}x{k}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("coefficients must be finite")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

@@ -75,7 +75,7 @@ def test_bad_header_token(tmp_path):
 HUGE_P2 = b"P2\n2 1\n255\n5 1" + b"0" * 400
 P2_CASES = {
     "truncated": (b"P2\n2 2\n255\n1 2 3\n",
-                  "parse error: unexpected end of header at byte 17"),
+                  "parse error: truncated samples at byte 17 (need 4, have 3)"),
     "bad-token": (b"P2\n2 2\n255\n1 x 3 4\n",
                   "parse error: bad sample b'x' at byte 12"),
     "bad-token-before-short-end": (b"P2\n2 2\n255\n1 x\n",
@@ -87,7 +87,7 @@ P2_CASES = {
     "int-syntax": (b"P2\n2 1\n255\n+5 1_0\n", [5, 10]),
     "extra-tokens-ignored": (b"P2\n2 1\n255\n1 2 3 junk\n", [1, 2]),
     "comment-words-not-samples": (b"P2\n2 2\n255\n1 2 3 # 4 5\n",
-                                  "parse error: unexpected end of header at byte 23"),
+                                  "parse error: truncated samples at byte 23 (need 4, have 3)"),
     "above-maxval": (b"P2\n2 1\n100\n5 101\n", "parse error: sample 101 exceeds maxval 100"),
     "negative": (b"P2\n2 1\n255\n5 -1\n", "parse error: negative sample"),
     # 10**400 does not fit a float64: rejected as out of range, not an OverflowError

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biharm.convolve import Boundary, convolve
 from biharm.pipeline import (
@@ -33,7 +35,8 @@ def _map(data, mode=MapMode.RESIDUAL):
 
 def test_jacobi_constant_fixed_point():
     r = Raster.constant(10, 9, 42.0)
-    out = smooth_jacobi(r, BH, iterations=3, b=Boundary.REPLICATE)
+    with pytest.warns(RuntimeWarning, match="diverges"):
+        out = smooth_jacobi(r, BH, iterations=3, b=Boundary.REPLICATE)
     assert np.array_equal(out.data, r.data)
 
 
@@ -204,6 +207,74 @@ def test_auc_uses_magnitude():
     truth = np.array([[1.0, 0.0, 0.0]])
     scores = np.array([[-9.0, 0.5, -0.25]])
     assert ranking_auc(scores, truth) == 1.0
+
+
+def _auc_unique_ranks(scores, truth):
+    """The former np.unique formulation of ranking_auc: average ranks of every
+    pixel, gathered at the truth pixels."""
+    truth = truth.astype(bool).ravel()
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    _, inverse, counts = np.unique(np.abs(scores).ravel(), return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ranks = ((starts + ends + 1) / 2.0)[inverse]
+    return (float(ranks[truth].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _auc_pairwise(scores, truth):
+    """Mann-Whitney U by counting every (positive, negative) pair, ties 0.5."""
+    values = np.abs(scores).ravel()
+    truth = truth.astype(bool).ravel()
+    pos, neg = values[truth][:, None], values[~truth][None, :]
+    if pos.size == 0 or neg.size == 0:
+        return 0.5
+    wins = np.count_nonzero(pos > neg) + 0.5 * np.count_nonzero(pos == neg)
+    return wins / (pos.size * neg.size)
+
+
+# few distinct magnitudes, so most pixels tie; 0.0 and -0.0 are one magnitude
+_TIED_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3.0, 1e-300, -7.0]
+
+
+@st.composite
+def _auc_inputs(draw):
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 40)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ))
+    size = int(np.prod(shape))
+    value = st.one_of(st.sampled_from(_TIED_VALUES),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    if draw(st.booleans()):
+        scores = [draw(value)] * size
+    else:
+        scores = draw(st.lists(value, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["random", "one-positive", "one-negative"]))
+    if kind == "random":
+        truth = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    else:
+        index = draw(st.integers(0, size - 1))
+        truth = [kind == "one-negative"] * size
+        truth[index] = not truth[index]
+    return (np.array(scores, dtype=np.float64).reshape(shape),
+            np.array(truth, dtype=np.float64).reshape(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_auc_inputs())
+@example((np.array([0.0, -0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0])))
+@example((np.full((3, 4), -2.0), np.eye(3, 4)))
+@example((np.array([[5.0, 5.0], [-5.0, 1.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])))
+@example((np.array([4.0, -4.0, 4.0]), np.array([1.0, 1.0, 0.0])))
+def test_auc_matches_unique_ranks_and_pairwise_count(case):
+    scores, truth = case
+    auc = ranking_auc(scores, truth)
+    assert auc == _auc_unique_ranks(scores, truth)
+    assert abs(auc - _auc_pairwise(scores, truth)) <= 1e-12
 
 
 def test_detector_metrics_counts():

@@ -65,6 +65,26 @@ def test_non_finite_stencil_rejected(lx, ly):
         biharmonic_stencil(lx, ly)
 
 
+_NAN_GRID = np.full((3, 3), np.nan)
+_INF_CENTER = np.zeros((3, 3))
+_INF_CENTER[1, 1] = np.inf
+
+
+@pytest.mark.parametrize("coeffs,lx,ly", [
+    (_NAN_GRID, 1.0, 1.0),
+    (_INF_CENTER, 1.0, 1.0),
+    (-_INF_CENTER, 1.0, 1.0),
+    (np.zeros((3, 3)), float("inf"), 1.0),
+    (np.zeros((3, 3)), 1.0, float("inf")),
+    (np.zeros((3, 3)), float("nan"), 1.0),
+    (_NAN_GRID, float("inf"), 1.0),
+], ids=["nan-coeffs", "inf-center", "minus-inf-center", "inf-lx", "inf-ly", "nan-lx",
+        "nan-coeffs-inf-lx"])
+def test_hand_built_non_finite_stencil_rejected(coeffs, lx, ly):
+    with pytest.raises(ValueError, match="finite"):
+        Stencil(radius=1, coeffs=coeffs, lx=lx, ly=ly)
+
+
 def test_laplacian_baseline():
     s = laplacian_baseline()
     assert s.radius == 1
