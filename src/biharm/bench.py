@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from .convolve import Boundary, convolve, convolve_reference
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary, convolve, convolve_reference
 from .raster import Raster
 from .scene import gaussian
 from .stencil import biharmonic_stencil
@@ -25,7 +25,7 @@ def run_benchmark(
     height: int = 2048,
     iters: int = 3,
     workers: int = 4,
-    tile_height: int = 64,
+    tile_height: int = DEFAULT_TILE_HEIGHT,
 ) -> dict:
     """Returns pixels/second for each engine; outputs are checked identical."""
     stencil = biharmonic_stencil(1.0, 1.0)

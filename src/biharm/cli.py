@@ -8,10 +8,11 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .convolve import Boundary, convolve
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary
 from .formats import FormatError, load_bandset, load_pgm, save_bandset, save_pgm
 from .pipeline import (
     MapMode,
+    _threshold_bool,
     anomaly_highpass,
     anomaly_residual,
     classify_parallelepiped,
@@ -19,7 +20,6 @@ from .pipeline import (
     fit_parallelepiped,
     overall_accuracy,
     smooth_jacobi,
-    threshold_mask,
 )
 from .raster import BandSet, Raster
 from .scene import parse_scene_spec, synth_scene
@@ -129,7 +129,7 @@ def _cmd_detect(args):
     if args.mask_out:
         union = np.zeros(scores[0].shape, dtype=bool)
         for m in maps:
-            union |= threshold_mask(m, args.sigma_k).data.astype(bool)
+            union |= _threshold_bool(m, args.sigma_k)
         save_pgm(Raster._from_array(union * 255.0), args.mask_out, 255)
     return 0
 
@@ -208,7 +208,7 @@ def _positive_int(text):
 def _add_engine_flags(p):
     p.add_argument("--boundary", default="mirror",
                    choices=["mirror", "replicate", "zero", "wrap"])
-    p.add_argument("--tile-height", type=_positive_int, default=64)
+    p.add_argument("--tile-height", type=_positive_int, default=DEFAULT_TILE_HEIGHT)
     p.add_argument("--workers", type=_positive_int, default=None)
 
 
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default="2048x2048")
     p.add_argument("--iters", type=_positive_int, default=3)
     p.add_argument("--workers", type=_positive_int, default=4)
-    p.add_argument("--tile-height", type=_positive_int, default=64)
+    p.add_argument("--tile-height", type=_positive_int, default=DEFAULT_TILE_HEIGHT)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import Boundary, convolve
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _sweeps, convolve
 from .raster import BandSet, Raster
 from .stencil import Stencil, symbol_range
 
@@ -30,7 +30,7 @@ def smooth_jacobi(
     s: Stencil,
     iterations: int = 1,
     b: Boundary = Boundary.MIRROR,
-    tile_height: int = 64,
+    tile_height: int = DEFAULT_TILE_HEIGHT,
     workers: int | None = None,
     omega: float = 1.0,
 ) -> Raster:
@@ -64,12 +64,11 @@ def smooth_jacobi(
                 f"omega={omega:g} multiplies the highest frequency by {factor:g} "
                 f"(stable for omega < {2.0 * center / max_symbol:g})",
                 RuntimeWarning, stacklevel=2)
-    scaled_center = center / omega
-    current = r
-    for _ in range(iterations):
-        response = convolve(current, s, b, tile_height, workers)
-        current = Raster._from_array(current.data - response.data / scaled_center)
-    return current
+    # the sweeps run without a check; the finiteness check of the one output
+    # raster still sees a divergent run, since a sample that is once NaN or
+    # Inf stays so (the center tap is non-zero)
+    return Raster._from_array(
+        _sweeps(r, s, b, tile_height, workers, iterations, center / omega))
 
 
 def anomaly_residual(original: Raster, smoothed: Raster, source_band: str = "") -> AnomalyMap:
@@ -85,7 +84,7 @@ def anomaly_highpass(
     s: Stencil,
     b: Boundary = Boundary.MIRROR,
     source_band: str = "",
-    tile_height: int = 64,
+    tile_height: int = DEFAULT_TILE_HEIGHT,
     workers: int | None = None,
 ) -> AnomalyMap:
     """Direct high-pass response of the stencil."""
@@ -93,16 +92,20 @@ def anomaly_highpass(
     return AnomalyMap(scores=scores, source_band=source_band, mode=MapMode.HIGHPASS)
 
 
-def threshold_mask(m: AnomalyMap, k_sigma: float) -> Raster:
-    """Binary mask of scores more than k_sigma population standard deviations
-    from the map mean; all zeros when the map is constant."""
+def _threshold_bool(m: AnomalyMap, k_sigma: float) -> np.ndarray:
+    """``threshold_mask`` as a bool array, for callers that count or combine."""
     scores = m.scores.data
     mu = float(scores.mean())
     sd = float(scores.std())
     if sd == 0.0:
-        return Raster._from_array(np.zeros_like(scores))
-    mask = (np.abs(scores - mu) > k_sigma * sd).astype(np.float64)
-    return Raster._from_array(mask)
+        return np.zeros(scores.shape, dtype=bool)
+    return np.abs(scores - mu) > k_sigma * sd
+
+
+def threshold_mask(m: AnomalyMap, k_sigma: float) -> Raster:
+    """Binary mask of scores more than k_sigma population standard deviations
+    from the map mean; all zeros when the map is constant."""
+    return Raster._from_array(_threshold_bool(m, k_sigma).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def detector_metrics(m: AnomalyMap, truth: Raster, k_sigma: float = 3.0) -> Dete
     if m.scores.shape != truth.shape:
         raise ValueError(f"shape mismatch: {m.scores.shape} vs {truth.shape}")
     auc = ranking_auc(m.scores.data, truth.data)
-    mask = threshold_mask(m, k_sigma).data.astype(bool)
+    mask = _threshold_bool(m, k_sigma)
     t = truth.data.astype(bool)
     tp = int(np.count_nonzero(mask & t))
     flagged = int(np.count_nonzero(mask))

@@ -98,6 +98,19 @@ def test_bad_values_exit_1_without_output(argv, message, tmp_path, capsys, rng):
     assert not paths["out"].exists()
 
 
+def test_divergent_smooth_exit_1_without_output(tmp_path, capsys, rng):
+    scene, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    save_pgm(Raster(np.clip(np.round(rng.normal(100, 10, (16, 16))), 0, 255)), scene, 255)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
+        assert run(["smooth", "--in", str(scene), "--out", str(out), "--iters", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("biharm: error: ") and "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_runtime_error_exit_1(tmp_path, capsys):
     assert run(["smooth", "--in", str(tmp_path / "missing.bfr"),
                 "--out", str(tmp_path / "o.bfr")]) == 1

@@ -132,3 +132,30 @@ def test_randomized_identity_sweep(rng):
         ref = convolve_reference(Raster(data), s, policy)
         out = convolve(Raster(data), s, policy, tile, workers)
         assert np.array_equal(out.data, ref.data)
+
+
+def _signed_zero_inputs(rng, h, w):
+    # exact +0.0 and -0.0 samples, where a skipped zero tap could flip the
+    # sign of an exact-zero sum, and a constant raster, whose sums cancel
+    data = rng.normal(0, 3, (h, w))
+    data[rng.random((h, w)) < 0.3] = 0.0
+    data[rng.random((h, w)) < 0.3] = -0.0
+    yield data
+    yield np.where(data == 0.0, -0.0, 0.0)
+    # the biharmonic taps are positive at even and negative at odd p + q, so
+    # on this checkerboard every product at half the pixels is -0.0
+    jj, ii = np.mgrid[0:h, 0:w]
+    yield np.where((ii + jj) % 2 == 0, -0.0, 0.0)
+    yield np.full((h, w), 7.25)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@pytest.mark.parametrize("stencil", [biharmonic_stencil(1, 1), biharmonic_stencil(0.5, 2),
+                                     laplacian_baseline()], ids=["bh11", "bh05_2", "laplacian"])
+def test_zero_taps_skipped_bytes_equal_reference(policy, stencil, rng):
+    # array_equal cannot see the sign of zero; the bytes can
+    for data in _signed_zero_inputs(rng, 13, 11):
+        ref = convolve_reference(Raster(data), stencil, policy).data.tobytes()
+        for tile_height, workers in ((64, 1), (3, 2)):
+            out = convolve(Raster(data), stencil, policy, tile_height, workers)
+            assert out.data.tobytes() == ref

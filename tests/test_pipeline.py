@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biharm.convolve import Boundary, convolve
+from biharm.convolve import Boundary, convolve, convolve_reference
 from biharm.pipeline import (
     AnomalyMap,
     ClassModel,
@@ -22,7 +22,7 @@ from biharm.pipeline import (
     threshold_mask,
 )
 from biharm.raster import BandSet, Raster
-from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
+from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline, symbol_range
 
 from conftest import assert_ulp_close
 
@@ -84,6 +84,85 @@ def test_jacobi_stable_or_single_sweep_does_not_warn(iterations, omega):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         smooth_jacobi(Raster.constant(8, 8), BH, iterations, Boundary.MIRROR, omega=omega)
+
+
+def _oracle_sweeps(r, s, b, iterations, omega):
+    """Jacobi sweeps as a plain loop of reference convolutions."""
+    cur = r
+    for _ in range(iterations):
+        cur = Raster(cur.data - convolve_reference(cur, s, b).data / (s.coeff(0, 0) / omega))
+    return cur
+
+
+def _quiet_smooth(*args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+        return smooth_jacobi(*args, **kwargs)
+
+
+@pytest.mark.parametrize("policy", list(Boundary))
+@pytest.mark.parametrize("tile_height", [1, 7, 32, 40])
+def test_jacobi_sweeps_bytes_equal_reference_loop(policy, tile_height, rng):
+    data = rng.normal(100, 20, (37, 29))
+    data[rng.random(data.shape) < 0.2] = 0.0
+    data[rng.random(data.shape) < 0.2] = -0.0
+    r = Raster(data)
+    for iterations in (1, 3):
+        for omega in (1.0, 0.3125):
+            want = _oracle_sweeps(r, BH, policy, iterations, omega).data.tobytes()
+            for workers in (1, 2, 4):
+                got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
+                assert got.data.tobytes() == want, (iterations, omega, workers)
+
+
+@pytest.mark.parametrize("shape,policy", [
+    ((5, 5), Boundary.MIRROR),
+    ((1, 9), Boundary.ZERO),
+    ((1, 9), Boundary.WRAP),
+    ((2, 1), Boundary.WRAP),
+    ((1, 6), Boundary.REPLICATE),
+])
+def test_jacobi_sweeps_bytes_equal_reference_loop_small(shape, policy, rng):
+    r = Raster(rng.normal(0, 5, shape))
+    for iterations in (1, 3):
+        for omega in (1.0, 0.3125):
+            want = _oracle_sweeps(r, BH, policy, iterations, omega).data.tobytes()
+            for tile_height, workers in ((1, 2), (64, 1)):
+                got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
+                assert got.data.tobytes() == want
+
+
+@pytest.mark.parametrize("stencil,iterations", [
+    (BH, 40),
+    (biharmonic_stencil(0.5, 2.0), 40),
+    (laplacian_baseline(), 7),
+])
+def test_jacobi_wrap_matches_fourier_filter(stencil, iterations, rng):
+    # on a periodic grid each sweep multiplies frequency theta by
+    # 1 - omega A(theta)/center, A(theta) = sum c_pq cos(p theta_x + q theta_y)
+    # as in symbol_range: N sweeps are that factor to the N-th power
+    h, w = 96, 128
+    data = rng.normal(100, 10, (h, w))
+    center = stencil.coeff(0, 0)
+    omega = center / symbol_range(stencil)[1]
+    theta_y = 2 * np.pi * np.fft.fftfreq(h)[:, None]
+    theta_x = 2 * np.pi * np.fft.fftfreq(w)[None, :]
+    rad = stencil.radius
+    symbol = sum(stencil.coeff(p, q) * np.cos(p * theta_x + q * theta_y)
+                 for q in range(-rad, rad + 1) for p in range(-rad, rad + 1))
+    want = np.fft.ifft2(np.fft.fft2(data) * (1 - omega * symbol / center) ** iterations).real
+    got = smooth_jacobi(Raster(data), stencil, iterations, Boundary.WRAP, omega=omega).data
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_jacobi_divergence_still_fails_finiteness_check(rng):
+    # 1000 plain sweeps multiply the Nyquist mode by 2.2^1000: float overflow
+    r = Raster(rng.normal(100, 10, (16, 16)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="raster samples must be finite"):
+            smooth_jacobi(r, BH, iterations=1000)
+    assert any("diverges" in str(w.message) for w in caught)
 
 
 def test_residual_trivial_cases():
