@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -205,6 +206,17 @@ def _positive_int(text):
     return value
 
 
+def _sigma_k(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def _add_engine_flags(p):
     p.add_argument("--boundary", default="mirror",
                    choices=["mirror", "replicate", "zero", "wrap"])
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--mode", default="residual", choices=["residual", "highpass"])
-    p.add_argument("--sigma-k", type=float, default=3.0)
+    p.add_argument("--sigma-k", type=_sigma_k, default=3.0)
     p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--mask-out", help="write union threshold mask as PGM")
     _add_stencil_flags(p)
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--report", default="-", help="report path, - for stdout")
     p.add_argument("--band", type=int, default=0)
-    p.add_argument("--sigma-k", type=float, default=3.0)
+    p.add_argument("--sigma-k", type=_sigma_k, default=3.0)
     p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--lx", type=float, default=1.0)
     p.add_argument("--ly", type=float, default=1.0)

@@ -1,6 +1,8 @@
 """File formats: PGM (P2/P5) for single bands, BFR1 container for float band sets."""
 from __future__ import annotations
 
+import mmap
+import os
 import re
 import struct
 
@@ -76,19 +78,19 @@ def load_pgm(path) -> Raster:
         pos += 1
         itemsize = 2 if maxval > 255 else 1
         need = count * itemsize
-        payload = data[pos : pos + need]
-        if len(payload) != need:
+        if len(data) - pos < need:
             raise FormatError(
-                f"parse error: truncated payload at byte {pos + len(payload)} "
-                f"(need {need} bytes, have {len(payload)})"
+                f"parse error: truncated payload at byte {len(data)} "
+                f"(need {need} bytes, have {len(data) - pos})"
             )
-        dtype = ">u2" if itemsize == 2 else "u1"
-        arr = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    if arr.size and arr.max() > maxval:
+        # unsigned samples: checked against maxval before the float64 cast,
+        # and never negative
+        arr = np.frombuffer(data, ">u2" if itemsize == 2 else "u1", count, pos)
+    if arr.max() > maxval:
         raise FormatError(f"parse error: sample {int(arr.max())} exceeds maxval {maxval}")
-    if arr.size and arr.min() < 0:
+    if magic == b"P2" and arr.min() < 0:
         raise FormatError("parse error: negative sample")
-    return Raster._from_array(arr.reshape(height, width))
+    return Raster._from_array(arr.astype(np.float64, copy=False).reshape(height, width))
 
 
 def save_pgm(r: Raster, path, maxval: int = 255) -> None:
@@ -108,26 +110,40 @@ def save_pgm(r: Raster, path, maxval: int = 255) -> None:
 def save_bandset(b: BandSet, path) -> None:
     """Write the BFR1 container: LE u32 dims/count, u16-length-prefixed UTF-8
     names, then band-sequential row-major LE float32 samples."""
-    parts = [BFR_MAGIC, struct.pack("<III", b.width, b.height, len(b))]
+    header = [BFR_MAGIC, struct.pack("<III", b.width, b.height, len(b))]
     for name in b.band_names:
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"band name too long ({len(raw)} bytes)")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
+        header.append(struct.pack("<H", len(raw)))
+        header.append(raw)
+    # every band is converted and checked before the file is opened, so a bad
+    # band leaves no file; the arrays are then written through the buffer
+    # protocol, without a bytes copy
+    payload = []
     for band in b:
         with np.errstate(over="ignore"):
             samples = np.ascontiguousarray(band.data, dtype="<f4")
         if not np.isfinite(samples).all():
             raise ValueError("samples exceed the float32 range of BFR1")
-        parts.append(samples.tobytes())
+        payload.append(samples)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(b"".join(header))
+        for samples in payload:
+            fh.write(samples)
 
 
 def load_bandset(path) -> BandSet:
+    """Read a BFR1 file through a read-only memory map; every band is its own
+    float64 array, so the result outlives the file."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return _parse_bandset(b"")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _parse_bandset(data)
+
+
+def _parse_bandset(data) -> BandSet:
     if data[:4] != BFR_MAGIC:
         raise FormatError(f"parse error: bad magic {data[:4]!r} at byte 0")
     if len(data) < 16:
@@ -154,16 +170,21 @@ def load_bandset(path) -> BandSet:
         pos += nlen
     count = width * height
     need = band_count * count * 4
-    payload = data[pos : pos + need]
-    if len(payload) != need or pos + need != len(data):
+    if pos + need != len(data):
         raise FormatError(
             f"parse error: payload length {len(data) - pos}, expected {need}"
         )
-    samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(samples)):
-        raise FormatError("parse error: non-finite sample in payload")
-    bands = [
-        Raster._from_array(samples[i * count : (i + 1) * count].reshape(height, width))
-        for i in range(band_count)
-    ]
+    # one view of the payload, dropped before the map closes: closing a map
+    # raises BufferError while a view of it lives. Finiteness is checked once,
+    # on the float32 samples; that is exact, since float32 -> float64 keeps
+    # every value, finite or not
+    samples = np.frombuffer(data, "<f4", band_count * count, pos).reshape(
+        band_count, height, width)
+    try:
+        if not np.isfinite(samples).all():
+            raise FormatError("parse error: non-finite sample in payload")
+        bands = [Raster._from_array(samples[i].astype(np.float64))
+                 for i in range(band_count)]
+    finally:
+        del samples
     return BandSet(bands, names)

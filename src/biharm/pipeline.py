@@ -94,17 +94,22 @@ def anomaly_highpass(
 
 def _threshold_bool(m: AnomalyMap, k_sigma: float) -> np.ndarray:
     """``threshold_mask`` as a bool array, for callers that count or combine."""
+    if not (math.isfinite(k_sigma) and k_sigma >= 0.0):
+        raise ValueError(f"k_sigma must be finite and non-negative, got {k_sigma}")
     scores = m.scores.data
     mu = float(scores.mean())
     sd = float(scores.std())
     if sd == 0.0:
         return np.zeros(scores.shape, dtype=bool)
-    return np.abs(scores - mu) > k_sigma * sd
+    deviation = scores - mu
+    np.abs(deviation, out=deviation)
+    return deviation > k_sigma * sd
 
 
 def threshold_mask(m: AnomalyMap, k_sigma: float) -> Raster:
     """Binary mask of scores more than k_sigma population standard deviations
-    from the map mean; all zeros when the map is constant."""
+    from the map mean; all zeros when the map is constant. ``k_sigma`` must be
+    finite and non-negative."""
     return Raster._from_array(_threshold_bool(m, k_sigma).astype(np.float64))
 
 
@@ -133,28 +138,35 @@ def ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
 
     Degenerate truth (single class) yields 0.5: the ranking is untestable.
     """
-    truth = truth.astype(bool).ravel()
+    truth = np.asarray(truth, dtype=bool).ravel()
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
     values = np.abs(scores).ravel()
-    ordered = np.sort(values)
     # only the positives' ranks are summed: a value tied over sorted
-    # positions [start, end) has the 1-based average rank (start + end + 1) / 2
-    positives = values[truth]
-    starts = np.searchsorted(ordered, positives, "left")
-    ends = np.searchsorted(ordered, positives, "right")
-    rank_sum = float(((starts + ends + 1) / 2.0).sum())
+    # positions [start, end) has the 1-based average rank (start + end + 1) / 2.
+    # Sorted queries keep searchsorted's walks through the values local. The
+    # sum of twice the ranks is an exact int64; halving it once equals the
+    # float sum of the half-integer ranks, in any order, while the raster has
+    # at most 2^26 pixels: every partial sum is then at most
+    # N (N + 1) / 2 < 2^52, and float64 holds every multiple of 0.5 below 2^52.
+    positives = np.sort(values[truth])
+    values.sort()  # in place: `values` is the fresh array np.abs made
+    starts = np.searchsorted(values, positives, "left")
+    ends = np.searchsorted(values, positives, "right")
+    rank_sum = int((starts + ends + 1).sum()) / 2
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def detector_metrics(m: AnomalyMap, truth: Raster, k_sigma: float = 3.0) -> DetectionMetrics:
+    """Confusion counts of ``threshold_mask(m, k_sigma)`` against the truth
+    (non-zero means anomalous) and the ranking AUC of the scores."""
     if m.scores.shape != truth.shape:
         raise ValueError(f"shape mismatch: {m.scores.shape} vs {truth.shape}")
-    auc = ranking_auc(m.scores.data, truth.data)
     mask = _threshold_bool(m, k_sigma)
-    t = truth.data.astype(bool)
+    t = np.asarray(truth.data, dtype=bool)
+    auc = ranking_auc(m.scores.data, t)
     tp = int(np.count_nonzero(mask & t))
     flagged = int(np.count_nonzero(mask))
     positive = int(np.count_nonzero(t))

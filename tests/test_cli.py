@@ -75,6 +75,35 @@ def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["detect", "compare"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5", "x"])
+def test_meaningless_sigma_k_exit_2(command, value, tmp_path, capsys):
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    scene, truth = str(tmp_path / "scene.bfr"), str(tmp_path / "truth.pgm")
+    assert run(["synth", "--spec", spec, "--out", scene, "--truth-out", truth]) == 0
+    out, mask = tmp_path / "o.bfr", tmp_path / "mask.pgm"
+    io = {
+        "detect": ["--out", str(out), "--mask-out", str(mask)],
+        "compare": ["--truth", truth],
+    }
+    capsys.readouterr()
+    assert run([command, "--in", scene, *io[command], "--sigma-k", value]) == 2
+    captured = capsys.readouterr()
+    assert "--sigma-k" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists() and not mask.exists()
+
+
+def test_sigma_k_zero_flags_every_pixel_off_the_mean(tmp_path):
+    data = np.full((8, 8), 10.0)
+    data[2, 3] = 50.0
+    src = tmp_path / "i.bfr"
+    save_bandset(BandSet([Raster(data)]), src)
+    mask = tmp_path / "mask.pgm"
+    assert run(["detect", "--in", str(src), "--out", str(tmp_path / "o.bfr"),
+                "--mode", "highpass", "--sigma-k", "0", "--mask-out", str(mask)]) == 0
+    assert np.count_nonzero(load_pgm(mask).data) > 1
+
+
 @pytest.mark.parametrize("argv,message", [
     (["stencil", "--lx", "1e-200"], "non-finite coefficients"),
     (["stencil", "--lx", "inf"], "positive and finite"),
@@ -148,6 +177,16 @@ def test_smooth_pgm_to_pgm(tmp_path):
     with pytest.warns(RuntimeWarning, match="diverges"):
         assert run(["smooth", "--in", str(src), "--out", str(out), "--iters", "2"]) == 0
     assert np.all(load_pgm(out).data == 50.0)
+
+
+def test_smooth_in_place_equals_new_path(tmp_path):
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    scene = tmp_path / "scene.bfr"
+    assert run(["synth", "--spec", spec, "--out", str(scene)]) == 0
+    fresh = tmp_path / "fresh.bfr"
+    assert run(["smooth", "--in", str(scene), "--out", str(fresh)]) == 0
+    assert run(["smooth", "--in", str(scene), "--out", str(scene)]) == 0
+    assert scene.read_bytes() == fresh.read_bytes()
 
 
 def test_workers_do_not_change_output_bytes(tmp_path):

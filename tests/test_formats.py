@@ -203,6 +203,83 @@ def test_save_bandset_rejects_float32_overflow(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("band", [0, 2])
+def test_bfr1_rejects_nan_in_first_or_last_band(tmp_path, band):
+    path = tmp_path / "b.bfr"
+    save_bandset(BandSet([Raster.constant(4, 3, float(i)) for i in range(3)]), path)
+    raw = bytearray(path.read_bytes())
+    # band-sequential payload of 3 x 12 float32 samples ends the file
+    at = len(raw) - (3 - band) * 12 * 4 + 5 * 4
+    raw[at : at + 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="non-finite"):
+        load_bandset(path)
+
+
+# the reader's messages for every file shorter than the 16-byte header
+SHORT_FILES = [(n, "parse error: truncated header" if n >= 4
+                else f"parse error: bad magic {b'BFR1'[:n]!r} at byte 0")
+               for n in range(16)]
+
+
+@pytest.mark.parametrize("n,message", SHORT_FILES)
+def test_bfr1_short_files(tmp_path, n, message):
+    path = tmp_path / "b.bfr"
+    path.write_bytes((b"BFR1" + struct.pack("<III", 1, 1, 1))[:n])
+    with pytest.raises(FormatError) as info:
+        load_bandset(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("change", ["delete", "overwrite"])
+def test_loaded_bands_are_read_only_and_outlive_the_file(tmp_path, rng, change):
+    path = tmp_path / "b.bfr"
+    data = rng.normal(0, 100, (3, 6, 5)).astype(np.float32).astype(np.float64)
+    save_bandset(BandSet([Raster(d) for d in data]), path)
+    loaded = load_bandset(path)
+    if change == "delete":
+        path.unlink()
+    else:
+        with open(path, "r+b") as fh:
+            fh.seek(-4 * data.size, 2)
+            fh.write(np.full(data.size, 7.0, dtype="<f4").tobytes())
+        assert np.all(load_bandset(path)[1].data == 7.0)
+    for band, expected in zip(loaded, data):
+        assert np.array_equal(band.data, expected)
+        assert not band.data.flags.writeable
+        with pytest.raises(ValueError):
+            band.data[0, 0] = 1.0
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bands_3x256(rng):
+    return BandSet([Raster(rng.normal(0, 1, (256, 256))) for _ in range(3)])
+
+
+def test_load_bandset_memory_budget(tmp_path, rng):
+    # the payload is mapped, not read: the float64 bands are the only large
+    # allocation
+    path = tmp_path / "b.bfr"
+    save_bandset(_bands_3x256(rng), path)
+    band_bytes = 3 * 256 * 256 * 8
+    assert _traced_peak(lambda: load_bandset(path)) <= 1.25 * band_bytes
+
+
+def test_save_bandset_memory_budget(tmp_path, rng):
+    # the float32 bands are written as they are, not joined into one bytes
+    bands = _bands_3x256(rng)
+    payload_bytes = 3 * 256 * 256 * 4
+    assert _traced_peak(lambda: save_bandset(bands, tmp_path / "b.bfr")) <= 1.25 * payload_bytes
+
+
 VALID_FILES = [
     b"P2\n# c\n3 2\n255\n0 1 2\r3 4 5\n",
     b"P5\n3 2\n255\n" + bytes(range(6)),

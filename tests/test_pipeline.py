@@ -275,6 +275,21 @@ def test_threshold_affine_invariance(rng):
     assert np.array_equal(base, scaled)
 
 
+@pytest.mark.parametrize("k_sigma", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_meaningless_k_sigma_raises(k_sigma):
+    truth = Raster(np.eye(4))
+    for data in (np.arange(16.0).reshape(4, 4), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="k_sigma"):
+            threshold_mask(_map(data), k_sigma)
+        with pytest.raises(ValueError, match="k_sigma"):
+            detector_metrics(_map(data), truth, k_sigma)
+
+
+def test_threshold_zero_k_flags_everything_off_mean():
+    data = np.array([[1.0, 3.0, 2.0, 2.0]])
+    assert threshold_mask(_map(data), 0.0).data.tolist() == [[1.0, 1.0, 0.0, 0.0]]
+
+
 def test_auc_perfect_and_uninformative():
     truth = np.zeros((10, 10))
     truth[2:4, 2:4] = 1.0
@@ -354,6 +369,42 @@ def test_auc_matches_unique_ranks_and_pairwise_count(case):
     auc = ranking_auc(scores, truth)
     assert auc == _auc_unique_ranks(scores, truth)
     assert abs(auc - _auc_pairwise(scores, truth)) <= 1e-12
+
+
+def _auc_raster_order(scores, truth):
+    """The former formulation of ranking_auc: searchsorted queried in raster
+    order, and the half-integer ranks summed as floats."""
+    truth = truth.astype(bool).ravel()
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    values = np.abs(scores).ravel()
+    ordered = np.sort(values)
+    positives = values[truth]
+    starts = np.searchsorted(ordered, positives, "left")
+    ends = np.searchsorted(ordered, positives, "right")
+    rank_sum = float(((starts + ends + 1) / 2.0).sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_auc_inputs())
+@example((np.full((5, 5), 3.0), np.eye(5)))
+@example((np.array([2.0, -1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])))
+@example((np.array([2.0, -1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])))
+def test_auc_sorted_queries_repr_equal_raster_order(case):
+    scores, truth = case
+    assert repr(ranking_auc(scores, truth)) == repr(_auc_raster_order(scores, truth))
+
+
+@pytest.mark.parametrize("share", [1e-4, 0.02, 0.5, 0.9999])
+def test_auc_sorted_queries_repr_equal_raster_order_large(share, rng):
+    # 600^2 pixels over 41 magnitudes: long tie runs and large rank sums
+    scores = rng.integers(-20, 21, (600, 600)) * 0.25
+    truth = (rng.random((600, 600)) < share).astype(np.float64)
+    assert repr(ranking_auc(scores, truth)) == repr(_auc_raster_order(scores, truth))
+    assert repr(ranking_auc(scores, truth.astype(bool))) == repr(_auc_raster_order(scores, truth))
 
 
 def test_detector_metrics_counts():
