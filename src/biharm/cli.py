@@ -141,8 +141,7 @@ def _cmd_compare(args):
         print(f"biharm: error: --band {args.band} is out of range for "
               f"{len(bands)} band(s)", file=sys.stderr)
         return 2
-    truth_raw = _load_input(args.truth)[0]
-    truth = Raster._from_array((truth_raw.data != 0).astype(np.float64))
+    truth = _load_input(args.truth)[0]  # non-zero is anomalous
     band = bands[args.band]
     name = bands.band_names[args.band]
     boundary = Boundary.parse(args.boundary)

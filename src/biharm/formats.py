@@ -24,6 +24,9 @@ class UnsupportedFormatError(FormatError):
 # one PGM token: skip whitespace and #-to-end-of-line comments, then capture
 # the next run of non-space, non-# bytes; empty only at the end of the data
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]*)")
+# the same comments, blanked out of the samples so that bytes.split(), whose
+# whitespace is the same six bytes as \s, yields the same tokens
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def _token_int(m: re.Match, what: str) -> int:
@@ -56,10 +59,12 @@ def load_pgm(path) -> Raster:
         raise UnsupportedFormatError(f"unsupported maxval {maxval}")
     count = width * height
     if magic == b"P2":
+        tokens = _COMMENT.sub(b" ", data[pos:]).split()[:count]
         try:
-            tokens = _TOKEN.findall(data, pos)[:count]
-            arr = np.array(list(map(int, tokens)), dtype=np.float64)
+            samples = list(map(int, tokens)) if len(tokens) == count else None
         except ValueError:
+            samples = None
+        if samples is None:
             # rescan to raise for the first bad token, or for the empty one
             # that ends a short file
             for have, m in enumerate(_TOKEN.finditer(data, pos)):
@@ -67,8 +72,10 @@ def load_pgm(path) -> Raster:
                     raise FormatError(
                         f"parse error: truncated samples at byte {m.end()} "
                         f"(need {count}, have {have})"
-                    ) from None
+                    )
                 _token_int(m, "sample")
+        try:
+            arr = np.array(samples, dtype=np.float64)
         except OverflowError:
             raise FormatError(f"parse error: sample outside [0, {maxval}]") from None
     else:
@@ -97,10 +104,11 @@ def save_pgm(r: Raster, path, maxval: int = 255) -> None:
     """Write binary P5; samples clamped to [0, maxval], rounded half away from zero."""
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
-    clamped = np.clip(r.data, 0.0, float(maxval))
-    quantized = np.floor(clamped + 0.5).astype(np.uint32)
-    quantized = np.minimum(quantized, maxval)
-    payload = quantized.astype(">u2" if maxval > 255 else "u1").tobytes()
+    # after the clip, floor(x + 0.5) <= maxval: the integers convert exactly
+    quantized = np.clip(r.data, 0.0, float(maxval))
+    quantized += 0.5
+    np.floor(quantized, out=quantized)
+    payload = quantized.astype(">u2" if maxval > 255 else "u1")
     header = b"P5\n%d %d\n%d\n" % (r.width, r.height, maxval)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -6,6 +6,7 @@ and thread counts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,34 +19,53 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 
 
-def _mix64(z):
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on the uint64 array z; tmp is scratch
+    of z's shape."""
+    z ^= np.right_shift(z, _U64(30), out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, _U64(27), out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, _U64(31), out=tmp)
+    return z
 
 
 def uniform01(seed: int, count: int) -> np.ndarray:
     """count doubles in [0, 1) from the splitmix64 counter stream."""
-    counters = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = _mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) + counters * _GOLDEN)
-    return (words >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    words = np.arange(1, count + 1, dtype=np.uint64)
+    words *= _GOLDEN
+    words += _U64(seed & 0xFFFFFFFFFFFFFFFF)
+    scratch = np.empty_like(words)
+    _mix64(words, scratch)
+    words >>= _U64(11)
+    # the 53-bit words convert to float64 exactly; the result takes the
+    # scratch buffer, so the stream never holds more than two arrays
+    return np.multiply(words, 2.0 ** -53, out=scratch.view(np.float64))
 
 
 def gaussian(seed: int, count: int) -> np.ndarray:
     """count standard normal deviates via Box-Muller on the uniform stream."""
     pairs = (count + 1) // 2
     u = uniform01(seed, 2 * pairs)
-    u1, u2 = u[:pairs], u[pairs:]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+    radius, theta = u[:pairs], u[pairs:]
+    # radius = sqrt(-2 log1p(-u1)) and theta = 2 pi u2, each in place
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    theta *= 2.0 * np.pi
+    z = np.empty(2 * pairs)
+    np.cos(theta, out=z[:pairs])
+    np.sin(theta, out=z[pairs:])
+    z[:pairs] *= radius
+    z[pairs:] *= radius
     return z[:count]
 
 
 def substream_seed(seed: int, index: int) -> int:
-    with np.errstate(over="ignore"):
-        return int(_mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ (_U64(index + 1) * _GOLDEN)))
+    z = np.array([(seed ^ ((index + 1) * int(_GOLDEN))) & 0xFFFFFFFFFFFFFFFF],
+                 dtype=np.uint64)
+    return int(_mix64(z, np.empty_like(z))[0])
 
 
 @dataclass(frozen=True)
@@ -56,6 +76,8 @@ class Disk:
     amplitudes: tuple
 
     def check_bounds(self, width: int, height: int):
+        if not all(map(math.isfinite, (self.cx, self.cy, self.radius))):
+            raise ValueError(f"disk centre and radius must be finite: {self}")
         if (
             self.cx - self.radius < 0
             or self.cx + self.radius > width - 1
@@ -64,8 +86,20 @@ class Disk:
         ):
             raise ValueError(f"disk footprint out of bounds: {self}")
 
-    def footprint(self, width: int, height: int) -> np.ndarray:
-        yy, xx = np.mgrid[0:height, 0:width]
+    def box(self, width: int, height: int):
+        """(rows, cols) slices of the raster that hold the footprint."""
+        # a pixel outside [floor(c - r), ceil(c + r)] is more than r from the
+        # centre by nearly a whole pixel, far past any rounding of the test
+        r = abs(self.radius)  # the test squares the radius
+        x0 = max(0, math.floor(self.cx - r))
+        y0 = max(0, math.floor(self.cy - r))
+        x1 = min(width - 1, math.ceil(self.cx + r))
+        y1 = min(height - 1, math.ceil(self.cy + r))
+        return slice(y0, y1 + 1), slice(x0, x1 + 1)
+
+    def mask(self, box) -> np.ndarray:
+        """The pixels of ``box`` whose centres lie within the radius."""
+        yy, xx = np.ogrid[box]
         return (xx - self.cx) ** 2 + (yy - self.cy) ** 2 <= self.radius**2
 
 
@@ -88,10 +122,13 @@ class Rect:
         ):
             raise ValueError(f"rectangle footprint out of bounds: {self}")
 
-    def footprint(self, width: int, height: int) -> np.ndarray:
-        mask = np.zeros((height, width), dtype=bool)
-        mask[self.y0 : self.y0 + self.height, self.x0 : self.x0 + self.width] = True
-        return mask
+    def box(self, width: int, height: int):
+        """(rows, cols) slices of the raster that hold the footprint."""
+        return slice(self.y0, self.y0 + self.height), slice(self.x0, self.x0 + self.width)
+
+    def mask(self, box):
+        """The whole box is the footprint: an Ellipsis index."""
+        return ...
 
 
 @dataclass(frozen=True)
@@ -178,19 +215,24 @@ def synth_scene(spec: SceneSpec):
     """Build (BandSet, truth mask): background + trend + noise, offsets added
     inside anomaly footprints. Bit-identical for a fixed seed."""
     h, w = spec.height, spec.width
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     base = spec.level + spec.trend[0] * xx + spec.trend[1] * yy
-    footprints = [a.footprint(w, h) for a in spec.anomalies]
+    boxes = [a.box(w, h) for a in spec.anomalies]
+    footprints = [(box, a.mask(box)) for a, box in zip(spec.anomalies, boxes)]
     bands = []
     for b in range(spec.band_count):
-        band = base.astype(np.float64, copy=True)
         if spec.sigma > 0:
-            noise = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
-            band += spec.sigma * noise
-        for anomaly, fp in zip(spec.anomalies, footprints):
-            band[fp] += anomaly.amplitudes[b]
+            # base + sigma * noise in the noise's own array: IEEE + and *
+            # commute, so the bits are the same
+            band = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
+            band *= spec.sigma
+            band += base
+        else:
+            band = base.astype(np.float64)
+        for anomaly, (box, fp) in zip(spec.anomalies, footprints):
+            band[box][fp] += anomaly.amplitudes[b]
         bands.append(Raster._from_array(band))
     truth = np.zeros((h, w))
-    for fp in footprints:
-        truth[fp] = 1.0
+    for box, fp in footprints:
+        truth[box][fp] = 1.0
     return BandSet(bands), Raster._from_array(truth)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biharm.formats import (
+    _TOKEN,
     FormatError,
     UnsupportedFormatError,
     load_bandset,
@@ -121,6 +122,8 @@ def test_save_pgm_rejects_other_maxval(tmp_path):
 def test_pgm_roundtrip_equals_clamp_round(tmp_path, rng):
     for maxval in (255, 65535):
         data = rng.uniform(-50, maxval + 50, (9, 13))
+        # the clip edges, a negative zero and exact halves, which round up
+        data[0, :8] = [maxval - 0.5, maxval, -0.0, 0.5, 2.5, 127.5, maxval - 1.5, -0.5]
         r = Raster(data)
         path = tmp_path / "r.pgm"
         save_pgm(r, path, maxval)
@@ -128,6 +131,59 @@ def test_pgm_roundtrip_equals_clamp_round(tmp_path, rng):
         expected = np.floor(np.clip(data, 0, maxval) + 0.5)
         expected = np.minimum(expected, maxval)
         assert np.array_equal(back.data, expected)
+
+
+P2_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def p2_files(draw):
+    """(file, samples offset, sample count) of a P2 file whose samples are
+    separated by any mix of the six whitespace bytes and #-comments, with
+    CR-only line ends and comments that cut into a token; some files run
+    short, run long or carry one bad token."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    count = width * height
+    tokens = draw(st.lists(
+        st.one_of(st.integers(0, 255).map(b"%d".__mod__),
+                  st.sampled_from([b"+7", b"1_0", b"007"])),
+        min_size=max(0, count - 1), max_size=count + 2))
+    bad = draw(st.sampled_from([None, None, None, b"x", b"-3", b"256", b"1e3"]))
+    if bad is not None:
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    body = []
+    for token in tokens:
+        if draw(st.booleans()):  # a comment that ends the token
+            comment = draw(st.binary(max_size=6)).replace(b"\n", b"").replace(b"\r", b"")
+            token += b"#" + comment + draw(st.sampled_from([b"\n", b"\r", b"\r\n"]))
+        sep = draw(st.lists(st.sampled_from(P2_WHITESPACE), min_size=1, max_size=3))
+        body.append(token + b"".join(sep))
+    header = b"P2\r%d %d\r255\r" % (width, height)
+    return header + b"".join(body), len(header), count
+
+
+def _findall_reference(data: bytes, pos: int, count: int):
+    """The samples as a _TOKEN.findall scan reads them, or None for a file
+    that must raise."""
+    try:
+        samples = [int(t) for t in _TOKEN.findall(data, pos)[:count]]
+    except ValueError:  # a bad token, or the empty one that ends a short file
+        return None
+    return samples if all(0 <= v <= 255 for v in samples) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(p2_files())
+def test_p2_samples_equal_findall_reference(tmp_path_factory, file):
+    data, pos, count = file
+    path = tmp_path_factory.getbasetemp() / "p2.pgm"
+    path.write_bytes(data)
+    expected = _findall_reference(data, pos, count)
+    if expected is None:
+        with pytest.raises(FormatError):
+            load_pgm(path)
+    else:
+        assert load_pgm(path).data.ravel().tolist() == expected
 
 
 def test_bfr1_known_bytes(tmp_path):

@@ -1,5 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biharm.scene import (
     Disk,
@@ -106,3 +111,80 @@ def test_gaussian_moments():
     z = gaussian(7, 200000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+# SHA-256 of every band's and the truth's float64 bytes, recorded with the
+# full-raster footprints; the bounding-box footprints must reproduce them
+PINNED_SPEC = SceneSpec(
+    width=37, height=29, band_count=3, level=100.0, sigma=2.5,
+    trend=(0.013, -0.021), seed=20261018,
+    anomalies=(
+        Disk(3.5, 4.25, 3.5, (40.0, -12.5, 7.25)),  # cx - r == 0
+        Disk(31.25, 21.75, 4.75, (15.0, 22.0, -3.0)),  # cx + r == width - 1
+        Disk(18.4, 24.6, 3.4, (9.5, 0.0, 31.0)),  # cy + r == height - 1
+        Rect(15, 10, 9, 16, (-20.0, 5.0, 12.0)),  # overlaps the third disk
+    ),
+)
+PINNED_DIGESTS = [
+    "9713fbe96fc8a33fa5188733a203351d04a8031c6376839b713013e653ac07bc",
+    "43d4c7c9281990ad09b3c57ff8093ebfe307bdbe40dfdcd66261644196eab58e",
+    "9a077209c06384a5a0869868e783a5498108b6458ac4e20e7c5d1606a0fdf4e4",
+    "bd69391635c511d95c7dbce4b2a1d527b3d5e7b72e8197a262af2e3816c73ad2",  # truth
+]
+
+
+def test_synth_scene_bytes_pinned():
+    bands, truth = synth_scene(PINNED_SPEC)
+    rasters = [*bands, truth]
+    assert [hashlib.sha256(r.data.tobytes()).hexdigest() for r in rasters] == PINNED_DIGESTS
+
+
+def test_synth_scene_memory_budget():
+    # footprints live in their bounding boxes and each band is built in its
+    # noise array: the bands, the truth and a few working rasters at most
+    spec = SceneSpec(
+        width=256, height=256, band_count=3, level=10.0, sigma=1.5,
+        trend=(0.01, -0.02), seed=3,
+        anomalies=(
+            Disk(60.5, 70.25, 30.0, (1.0, 2.0, 3.0)),
+            Disk(180.0, 60.0, 50.5, (4.0, 5.0, 6.0)),
+            Disk(128.0, 200.0, 40.0, (7.0, 8.0, 9.0)),
+            Rect(20, 150, 90, 80, (1.5, 2.5, 3.5)),
+        ),
+    )
+    tracemalloc.start()
+    try:
+        synth_scene(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (spec.band_count + 4) * 256 * 256 * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 24), st.integers(1, 24),
+    st.floats(-4.0, 4.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+)
+def test_disk_box_holds_the_whole_footprint(width, height, radius, fx, fy):
+    # a centre anywhere the bounds check allows, for a radius of either sign:
+    # a negative one draws the disk of its magnitude, clipped to the raster
+    assume(2 * radius <= min(width, height) - 1)
+    cx = radius + fx * (width - 1 - 2 * radius)
+    cy = radius + fy * (height - 1 - 2 * radius)
+    disk = Disk(cx, cy, radius, (1.0,))
+    try:
+        spec = SceneSpec(width=width, height=height, anomalies=(disk,))
+    except ValueError:  # rounded past the edge
+        assume(False)
+    _, truth = synth_scene(spec)
+    yy, xx = np.mgrid[0:height, 0:width]
+    full = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2
+    assert np.array_equal(truth.data, full.astype(np.float64))
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "radius"])
+def test_disk_rejects_nan_geometry(field):
+    geometry = {"cx": 5.0, "cy": 5.0, "radius": 2.0, field: float("nan")}
+    with pytest.raises(ValueError, match="finite"):
+        SceneSpec(width=10, height=10, anomalies=(Disk(**geometry, amplitudes=(1.0,)),))
