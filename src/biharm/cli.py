@@ -17,7 +17,7 @@ from .pipeline import (
     anomaly_highpass,
     anomaly_residual,
     classify_parallelepiped,
-    detector_metrics,
+    compare_detectors,
     fit_parallelepiped,
     overall_accuracy,
     smooth_jacobi,
@@ -141,18 +141,20 @@ def _cmd_compare(args):
         print(f"biharm: error: --band {args.band} is out of range for "
               f"{len(bands)} band(s)", file=sys.stderr)
         return 2
-    truth = _load_input(args.truth)[0]  # non-zero is anomalous
     band = bands[args.band]
     name = bands.band_names[args.band]
+    del bands  # frees the bands that are not compared
+    truth = _load_input(args.truth)[0]  # non-zero is anomalous
     boundary = Boundary.parse(args.boundary)
     bh = biharmonic_stencil(args.lx, args.ly)
     smoothed = smooth_jacobi(band, bh, args.iters, boundary,
                              args.tile_height, args.workers)
     residual_map = anomaly_residual(band, smoothed, name)
+    del smoothed
     baseline_map = anomaly_highpass(band, laplacian_baseline(), boundary, name,
                                     args.tile_height, args.workers)
-    m_bh = detector_metrics(residual_map, truth, args.sigma_k)
-    m_lp = detector_metrics(baseline_map, truth, args.sigma_k)
+    del band  # the two detectors are scored at the same time, on their maps only
+    m_bh, m_lp = compare_detectors(residual_map, baseline_map, truth, args.sigma_k)
     lines = [("band", name)]
     lines += _metrics_lines("biharmonic", m_bh)
     lines += _metrics_lines("laplacian", m_lp)

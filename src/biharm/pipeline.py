@@ -4,6 +4,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,9 +177,23 @@ def detector_metrics(m: AnomalyMap, truth: Raster, k_sigma: float = 3.0) -> Dete
     return DetectionMetrics.from_counts(tp, fp, tn, fn, auc)
 
 
-def compare_detectors(scores_a: AnomalyMap, scores_b: AnomalyMap, truth: Raster):
-    """Metrics for two detectors against the same truth mask."""
-    return detector_metrics(scores_a, truth), detector_metrics(scores_b, truth)
+def compare_detectors(
+    scores_a: AnomalyMap, scores_b: AnomalyMap, truth: Raster, k_sigma: float = 3.0
+) -> tuple[DetectionMetrics, DetectionMetrics]:
+    """``(detector_metrics(scores_a, ...), detector_metrics(scores_b, ...))``,
+    the two computed at the same time.
+
+    ``scores_b`` is scored on one helper thread while the calling thread scores
+    ``scores_a``; numpy's sort, ``searchsorted`` and reductions release the
+    GIL, so the two overlap. Each call reads the shared rasters and writes only
+    its own temporaries, so the results are the bits of two serial calls. If
+    ``scores_a`` fails, its exception is raised once ``scores_b`` is done;
+    otherwise a failure of ``scores_b`` is raised.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future_b = pool.submit(detector_metrics, scores_b, truth, k_sigma)
+        m_a = detector_metrics(scores_a, truth, k_sigma)
+        return m_a, future_b.result()
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,12 @@ class Disk:
     def check_bounds(self, width: int, height: int):
         if not all(map(math.isfinite, (self.cx, self.cy, self.radius))):
             raise ValueError(f"disk centre and radius must be finite: {self}")
+        r = abs(self.radius)  # the footprint squares the radius
         if (
-            self.cx - self.radius < 0
-            or self.cx + self.radius > width - 1
-            or self.cy - self.radius < 0
-            or self.cy + self.radius > height - 1
+            self.cx - r < 0
+            or self.cx + r > width - 1
+            or self.cy - r < 0
+            or self.cy + r > height - 1
         ):
             raise ValueError(f"disk footprint out of bounds: {self}")
 

@@ -1,12 +1,16 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from biharm.cli import run
+from biharm.cli import _metrics_lines, run
+from biharm.convolve import DEFAULT_TILE_HEIGHT, Boundary
 from biharm.formats import load_bandset, load_pgm, save_bandset, save_pgm
+from biharm.pipeline import anomaly_highpass, anomaly_residual, detector_metrics, smooth_jacobi
 from biharm.raster import BandSet, Raster
+from biharm.stencil import biharmonic_stencil, laplacian_baseline
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -220,6 +224,84 @@ def test_synth_and_compare_match_recorded_fixture(tmp_path, capsys):
         assert float(report[key]) == float(value), key
 
 
+@pytest.fixture(scope="module")
+def fixture_scene(tmp_path_factory):
+    """The fixture spec's scene and truth PGM, synthesized once."""
+    root = tmp_path_factory.mktemp("fixture_scene")
+    scene, truth = str(root / "scene.bfr"), str(root / "truth.pgm")
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    assert run(["synth", "--spec", spec, "--out", scene, "--truth-out", truth]) == 0
+    return scene, truth
+
+
+def _serial_compare_report(scene, truth, band_index, boundary, iters, workers, sigma_k):
+    """The compare report from the library, scoring one detector after the other."""
+    bands = load_bandset(scene)
+    band, name = bands[band_index], bands.band_names[band_index]
+    truth_raster = load_pgm(truth)
+    b = Boundary.parse(boundary)
+    smoothed = smooth_jacobi(band, biharmonic_stencil(1.0, 1.0), iters, b,
+                             DEFAULT_TILE_HEIGHT, workers)
+    m_bh = detector_metrics(anomaly_residual(band, smoothed, name), truth_raster, sigma_k)
+    baseline = anomaly_highpass(band, laplacian_baseline(), b, name,
+                                DEFAULT_TILE_HEIGHT, workers)
+    m_lp = detector_metrics(baseline, truth_raster, sigma_k)
+    lines = [("band", name)]
+    lines += _metrics_lines("biharmonic", m_bh) + _metrics_lines("laplacian", m_lp)
+    return "".join(f"{k}={v}\n" for k, v in lines)
+
+
+@pytest.mark.parametrize("boundary", ["mirror", "wrap"])
+@pytest.mark.parametrize("iters", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sigma_k", [3.0, 1.5])
+def test_compare_report_equals_serial_library(boundary, iters, workers, sigma_k,
+                                              fixture_scene, capsys):
+    scene, truth = fixture_scene
+    band = iters - 1  # bands 0 and 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
+        expected = _serial_compare_report(scene, truth, band, boundary, iters, workers,
+                                          sigma_k)
+        capsys.readouterr()
+        assert run(["compare", "--in", scene, "--truth", truth, "--band", str(band),
+                    "--boundary", boundary, "--iters", str(iters),
+                    "--workers", str(workers), "--sigma-k", str(sigma_k)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_compare_truth_of_wrong_size_exit_1(fixture_scene, tmp_path, capsys):
+    scene, _ = fixture_scene
+    truth = tmp_path / "truth.pgm"
+    save_pgm(Raster(np.zeros((95, 96))), truth, 255)
+    capsys.readouterr()
+    assert run(["compare", "--in", scene, "--truth", str(truth)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("biharm: error: ") and "shape mismatch" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("band", ["0", "2"])
+def test_compare_memory_budget(band, tmp_path, capsys):
+    # only the compared band stays after the load, and each raster is dropped
+    # once nothing reads it: the two detectors' temporaries then fit in the
+    # space of the bands that were freed
+    spec = tmp_path / "spec.txt"
+    spec.write_text("width = 256\nheight = 256\nbands = 3\nlevel = 100\nsigma = 4\n"
+                    "seed = 11\nanomaly = disk 60 70 12 30 20 10\n"
+                    "anomaly = rect 150 150 20 30 25 15 35\n")
+    scene, truth = str(tmp_path / "scene.bfr"), str(tmp_path / "truth.pgm")
+    assert run(["synth", "--spec", str(spec), "--out", scene, "--truth-out", truth]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["compare", "--in", scene, "--truth", truth, "--band", band]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "biharmonic_auc=" in capsys.readouterr().out
+    assert peak <= 7 * 256 * 256 * 8
+
+
 def test_compare_report_file(tmp_path):
     spec = os.path.join(FIXTURES, "compare_scene.txt")
     scene = tmp_path / "scene.bfr"
@@ -246,6 +328,16 @@ def test_classify_with_truth(tmp_path, capsys):
                 "--out", str(out), "--truth", str(roi)]) == 0
     assert "overall_accuracy=1.0" in capsys.readouterr().out
     assert np.array_equal(load_pgm(out).data, truth)
+
+
+def test_synth_negative_radius_past_the_edge_exit_1(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("width = 16\nheight = 16\nanomaly = disk 0 0 -2 5\n")
+    out = tmp_path / "scene.bfr"
+    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("biharm: error: ") and "out of bounds" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_synth_seed_override(tmp_path):

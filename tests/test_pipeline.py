@@ -1,3 +1,5 @@
+import dataclasses
+import threading
 import warnings
 
 import numpy as np
@@ -424,6 +426,36 @@ def test_compare_detectors_pair():
     assert m_good.auc == 1.0
     assert m_flat.auc == 0.5
     assert m_flat.precision == 1.0  # empty mask: no positives claimed
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2026])
+@pytest.mark.parametrize("k_sigma", [0.0, 1.0, 2.5, 3.0])
+def test_compare_detectors_repr_equal_serial_calls(seed, k_sigma):
+    rng = np.random.default_rng(seed)
+    shape = (48 + seed % 29, 61)
+    truth = Raster(np.where(rng.random(shape) < 0.04, 255.0, 0.0))  # non-zero is anomalous
+    a = _map(rng.normal(0.0, 1.0, shape) + 4.0 * (truth.data != 0))
+    b = _map(rng.integers(-12, 13, shape) * 0.5, MapMode.HIGHPASS)  # long tie runs
+    serial = (detector_metrics(a, truth, k_sigma), detector_metrics(b, truth, k_sigma))
+    concurrent = compare_detectors(a, b, truth, k_sigma)
+    for got, want in zip(concurrent, serial):
+        for f in dataclasses.fields(want):
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+@pytest.mark.parametrize("bad", ["a", "b", "both"])
+def test_compare_detectors_shape_mismatch_raises_as_serial_calls(bad):
+    truth = Raster(np.zeros((4, 5)))
+    a = _map(np.ones((5, 4)) if bad in ("a", "both") else np.ones((4, 5)))
+    b = _map(np.ones((3, 5)) if bad in ("b", "both") else np.ones((4, 5)))
+    with pytest.raises(ValueError, match="shape mismatch") as serial:
+        detector_metrics(a, truth)
+        detector_metrics(b, truth)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="shape mismatch") as concurrent:
+        compare_detectors(a, b, truth)
+    assert str(concurrent.value) == str(serial.value)
+    assert threading.active_count() == threads  # the helper thread was joined
 
 
 def test_fit_single_class_constant():

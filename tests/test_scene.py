@@ -168,10 +168,12 @@ def test_synth_scene_memory_budget():
 )
 def test_disk_box_holds_the_whole_footprint(width, height, radius, fx, fy):
     # a centre anywhere the bounds check allows, for a radius of either sign:
-    # a negative one draws the disk of its magnitude, clipped to the raster
-    assume(2 * radius <= min(width, height) - 1)
-    cx = radius + fx * (width - 1 - 2 * radius)
-    cy = radius + fy * (height - 1 - 2 * radius)
+    # the check, the box and the mask all use its magnitude; a draw that
+    # rounds past the edge is rejected by the check and assumed away
+    r = abs(radius)
+    assume(2 * r <= min(width, height) - 1)
+    cx = r + fx * (width - 1 - 2 * r)
+    cy = r + fy * (height - 1 - 2 * r)
     disk = Disk(cx, cy, radius, (1.0,))
     try:
         spec = SceneSpec(width=width, height=height, anomalies=(disk,))
@@ -188,3 +190,28 @@ def test_disk_rejects_nan_geometry(field):
     geometry = {"cx": 5.0, "cy": 5.0, "radius": 2.0, field: float("nan")}
     with pytest.raises(ValueError, match="finite"):
         SceneSpec(width=10, height=10, anomalies=(Disk(**geometry, amplitudes=(1.0,)),))
+
+
+@pytest.mark.parametrize("cx,cy,radius", [
+    (0.0, 0.0, -2.0),  # would draw the quarter of a disk that the raster clips
+    (2.0, 5.0, -2.5),
+    (7.5, 5.0, -2.0),
+    (5.0, 1.0, -1.5),
+    (5.0, 8.5, -1.0),
+])
+def test_negative_radius_past_the_edge_out_of_bounds(cx, cy, radius):
+    with pytest.raises(ValueError, match="out of bounds"):
+        SceneSpec(width=10, height=10, anomalies=(Disk(cx, cy, radius, (1.0,)),))
+    with pytest.raises(ValueError, match="out of bounds"):  # as the magnitude does
+        SceneSpec(width=10, height=10, anomalies=(Disk(cx, cy, -radius, (1.0,)),))
+
+
+@pytest.mark.parametrize("radius", [-2.0, -3.25, -4.5])
+def test_negative_radius_inside_draws_the_disk_of_its_magnitude(radius):
+    def scene(r):
+        spec = SceneSpec(width=20, height=16, sigma=1.0, seed=4,
+                         anomalies=(Disk(9.5, 7.25, r, (5.0,)),))
+        bands, truth = synth_scene(spec)
+        return bands[0].data.tobytes(), truth.data.tobytes()
+
+    assert scene(radius) == scene(-radius)
