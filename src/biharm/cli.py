@@ -105,26 +105,24 @@ def _cmd_smooth(args):
     return 0
 
 
-def _detect_maps(bands, stencil, boundary, mode, iters, tile_height, workers):
-    maps = []
-    for band, name in zip(bands, bands.band_names):
-        if mode is MapMode.RESIDUAL:
-            smoothed = smooth_jacobi(band, stencil, iters, boundary,
-                                     tile_height, workers)
-            maps.append(anomaly_residual(band, smoothed, name))
-        else:
-            maps.append(anomaly_highpass(band, stencil, boundary, name,
-                                         tile_height, workers))
-    return maps
+def _band_map(args, mode, stencil, band, name):
+    """One band's score map: residual against ``args.iters`` Jacobi sweeps of
+    ``stencil``, or its high-pass response."""
+    boundary = Boundary.parse(args.boundary)
+    if mode is MapMode.RESIDUAL:
+        smoothed = smooth_jacobi(band, stencil, args.iters, boundary,
+                                 args.tile_height, args.workers)
+        return anomaly_residual(band, smoothed, name)
+    return anomaly_highpass(band, stencil, boundary, name,
+                            args.tile_height, args.workers)
 
 
 def _cmd_detect(args):
     bands = _load_input(args.in_path)
     stencil = _make_stencil(args)
-    boundary = Boundary.parse(args.boundary)
     mode = MapMode(args.mode)
-    maps = _detect_maps(bands, stencil, boundary, mode, args.iters,
-                        args.tile_height, args.workers)
+    maps = [_band_map(args, mode, stencil, band, name)
+            for band, name in zip(bands, bands.band_names)]
     scores = BandSet([m.scores for m in maps], bands.band_names)
     _write_output(scores, args.out_path, scale=True)
     if args.mask_out:
@@ -145,14 +143,9 @@ def _cmd_compare(args):
     name = bands.band_names[args.band]
     del bands  # frees the bands that are not compared
     truth = _load_input(args.truth)[0]  # non-zero is anomalous
-    boundary = Boundary.parse(args.boundary)
-    bh = biharmonic_stencil(args.lx, args.ly)
-    smoothed = smooth_jacobi(band, bh, args.iters, boundary,
-                             args.tile_height, args.workers)
-    residual_map = anomaly_residual(band, smoothed, name)
-    del smoothed
-    baseline_map = anomaly_highpass(band, laplacian_baseline(), boundary, name,
-                                    args.tile_height, args.workers)
+    residual_map = _band_map(args, MapMode.RESIDUAL,
+                             biharmonic_stencil(args.lx, args.ly), band, name)
+    baseline_map = _band_map(args, MapMode.HIGHPASS, laplacian_baseline(), band, name)
     del band  # the two detectors are scored at the same time, on their maps only
     m_bh, m_lp = compare_detectors(residual_map, baseline_map, truth, args.sigma_k)
     lines = [("band", name)]

@@ -67,6 +67,9 @@ def convolve_reference(r: Raster, s: Stencil, b: Boundary = Boundary.MIRROR) -> 
 
 
 def default_workers() -> int:
+    """Up to 4 tile threads, no more than the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 

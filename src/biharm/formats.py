@@ -1,7 +1,6 @@
 """File formats: PGM (P2/P5) for single bands, BFR1 container for float band sets."""
 from __future__ import annotations
 
-import mmap
 import os
 import re
 import struct
@@ -142,57 +141,55 @@ def save_bandset(b: BandSet, path) -> None:
 
 
 def load_bandset(path) -> BandSet:
-    """Read a BFR1 file through a read-only memory map; every band is its own
-    float64 array, so the result outlives the file."""
+    """Read a BFR1 file band by band; every band is its own float64 array, so
+    the result outlives the file."""
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
-            return _parse_bandset(b"")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return _parse_bandset(data)
-
-
-def _parse_bandset(data) -> BandSet:
-    if data[:4] != BFR_MAGIC:
-        raise FormatError(f"parse error: bad magic {data[:4]!r} at byte 0")
-    if len(data) < 16:
-        raise FormatError("parse error: truncated header")
-    width, height, band_count = struct.unpack_from("<III", data, 4)
-    if width == 0 or height == 0 or band_count == 0:
-        raise FormatError(
-            f"parse error: zero dimension (width={width}, height={height}, bands={band_count})"
-        )
-    pos = 16
-    names = []
-    for _ in range(band_count):
-        if pos + 2 > len(data):
-            raise FormatError(f"parse error: truncated name table at byte {pos}")
-        (nlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        raw = data[pos : pos + nlen]
-        if len(raw) != nlen:
-            raise FormatError(f"parse error: truncated name at byte {pos}")
-        try:
-            names.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise FormatError(f"parse error: invalid UTF-8 name at byte {pos}") from None
-        pos += nlen
-    count = width * height
-    need = band_count * count * 4
-    if pos + need != len(data):
-        raise FormatError(
-            f"parse error: payload length {len(data) - pos}, expected {need}"
-        )
-    # one view of the payload, dropped before the map closes: closing a map
-    # raises BufferError while a view of it lives. Finiteness is checked once,
-    # on the float32 samples; that is exact, since float32 -> float64 keeps
-    # every value, finite or not
-    samples = np.frombuffer(data, "<f4", band_count * count, pos).reshape(
-        band_count, height, width)
-    try:
-        if not np.isfinite(samples).all():
-            raise FormatError("parse error: non-finite sample in payload")
-        bands = [Raster._from_array(samples[i].astype(np.float64))
-                 for i in range(band_count)]
-    finally:
-        del samples
+        head = fh.read(16)
+        if head[:4] != BFR_MAGIC:
+            raise FormatError(f"parse error: bad magic {head[:4]!r} at byte 0")
+        if len(head) < 16:
+            raise FormatError("parse error: truncated header")
+        width, height, band_count = struct.unpack_from("<III", head, 4)
+        if width == 0 or height == 0 or band_count == 0:
+            raise FormatError(
+                f"parse error: zero dimension (width={width}, height={height}, bands={band_count})"
+            )
+        pos = 16
+        names = []
+        for _ in range(band_count):
+            raw = fh.read(2)
+            if len(raw) != 2:
+                raise FormatError(f"parse error: truncated name table at byte {pos}")
+            (nlen,) = struct.unpack("<H", raw)
+            pos += 2
+            raw = fh.read(nlen)
+            if len(raw) != nlen:
+                raise FormatError(f"parse error: truncated name at byte {pos}")
+            try:
+                names.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"parse error: invalid UTF-8 name at byte {pos}") from None
+            pos += nlen
+        # the declared sizes are checked against the file before any sample
+        # buffer is allocated
+        count = width * height
+        need = band_count * count * 4
+        size = os.fstat(fh.fileno()).st_size
+        if pos + need != size:
+            raise FormatError(f"parse error: payload length {size - pos}, expected {need}")
+        # one float32 buffer serves every band. The float64 cast keeps each
+        # value, finite or not, so Raster's finiteness check is the check of
+        # the samples
+        samples = np.empty(count, "<f4")
+        bands = []
+        for _ in range(band_count):
+            got = fh.readinto(samples)
+            if got != count * 4:  # the file shrank after the size check
+                raise FormatError(f"parse error: truncated payload at byte {pos + got}")
+            pos += got
+            try:
+                bands.append(Raster._from_array(
+                    samples.astype(np.float64).reshape(height, width)))
+            except ValueError:
+                raise FormatError("parse error: non-finite sample in payload") from None
     return BandSet(bands, names)

@@ -223,13 +223,18 @@ class ClassModel:
 
 def fit_parallelepiped(b: BandSet, roi_labels: Raster) -> ClassModel:
     """Per class and band, the interval mean +/- 2 population standard
-    deviations over that class's ROI pixels. Label 0 means unlabeled."""
+    deviations over that class's ROI pixels. Labels must be integers; label 0
+    means unlabeled."""
     if roi_labels.shape != (b.height, b.width):
         raise ValueError(
             f"ROI shape {roi_labels.shape} does not match bands {(b.height, b.width)}"
         )
     labels = roi_labels.data
-    class_ids = sorted(int(c) for c in np.unique(labels) if c > 0)
+    values = np.unique(labels)
+    fractional = values[values != np.floor(values)]
+    if fractional.size:
+        raise ValueError(f"ROI label {float(fractional[0])!r} is not an integer")
+    class_ids = [int(c) for c in values if c > 0]
     if not class_ids:
         raise ValueError("ROI contains no labeled pixels")
     intervals = {}

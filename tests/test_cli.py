@@ -214,7 +214,8 @@ def test_synth_and_compare_match_recorded_fixture(tmp_path, capsys):
                 "--truth-out", str(truth)]) == 0
     assert run(["compare", "--in", str(scene), "--truth", str(truth)]) == 0
     report = read_report(capsys.readouterr().out)
-    expected = read_report(open(os.path.join(FIXTURES, "compare_expected.txt")).read())
+    with open(os.path.join(FIXTURES, "compare_expected.txt")) as fh:
+        expected = read_report(fh.read())
     for key in ("biharmonic_auc", "laplacian_auc"):
         assert float(report[key]) == float(expected[key])
         assert float(report[key]) == float.fromhex(expected[key + "_hex"])
@@ -328,6 +329,22 @@ def test_classify_with_truth(tmp_path, capsys):
                 "--out", str(out), "--truth", str(roi)]) == 0
     assert "overall_accuracy=1.0" in capsys.readouterr().out
     assert np.array_equal(load_pgm(out).data, truth)
+
+
+def test_classify_non_integer_roi_label_exit_1_without_output(tmp_path, capsys):
+    src, roi, out = tmp_path / "in.bfr", tmp_path / "roi.bfr", tmp_path / "labels.pgm"
+    save_bandset(BandSet([Raster.constant(4, 4, 100.0)]), src)
+    labels = np.full((4, 4), 2.0)
+    labels[0, :2] = 1.5
+    save_bandset(BandSet([Raster(labels)]), roi)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way out either
+        assert run(["classify", "--in", str(src), "--roi", str(roi),
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "biharm: error: ROI label 1.5 is not an integer\n"
+    assert not out.exists()
 
 
 def test_synth_negative_radius_past_the_edge_exit_1(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from biharm.convolve import Boundary, convolve, convolve_reference
+from biharm.convolve import Boundary, convolve, convolve_reference, default_workers
 from biharm.raster import Raster
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
 
@@ -159,3 +161,21 @@ def test_zero_taps_skipped_bytes_equal_reference(policy, stencil, rng):
         for tile_height, workers in ((64, 1), (3, 2)):
             out = convolve(Raster(data), stencil, policy, tile_height, workers)
             assert out.data.tobytes() == ref
+
+
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU (taskset, a cpuset) gets one tile thread,
+    # however many CPUs the machine has
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert default_workers() == 4
+
+
+def test_default_workers_without_affinity_use_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert default_workers() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1

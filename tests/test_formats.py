@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,6 +273,19 @@ def test_bfr1_rejects_nan_in_first_or_last_band(tmp_path, band):
         load_bandset(path)
 
 
+@pytest.mark.parametrize("cut", [4, 12 * 4, 12 * 4 + 4, 2 * 12 * 4])
+def test_bfr1_file_shrinking_after_the_size_check(tmp_path, monkeypatch, cut):
+    # the size check passes on the untruncated size; the sample reads then come
+    # up short, and what is left in the reused buffer must never become a band
+    path = tmp_path / "b.bfr"
+    save_bandset(BandSet([Raster.constant(4, 3, 1.0), Raster.constant(4, 3, 2.0)]), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-cut])
+    monkeypatch.setattr("biharm.formats.os.fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(FormatError, match="truncated payload"):
+        load_bandset(path)
+
+
 # the reader's messages for every file shorter than the 16-byte header
 SHORT_FILES = [(n, "parse error: truncated header" if n >= 4
                 else f"parse error: bad magic {b'BFR1'[:n]!r} at byte 0")
@@ -321,8 +335,8 @@ def _bands_3x256(rng):
 
 
 def test_load_bandset_memory_budget(tmp_path, rng):
-    # the payload is mapped, not read: the float64 bands are the only large
-    # allocation
+    # the payload is read band by band into one reused float32 buffer: the
+    # float64 bands are the only other large allocation
     path = tmp_path / "b.bfr"
     save_bandset(_bands_3x256(rng), path)
     band_bytes = 3 * 256 * 256 * 8

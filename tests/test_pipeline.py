@@ -485,6 +485,22 @@ def test_fit_requires_labels():
         fit_parallelepiped(BandSet([Raster.constant(3, 3)]), Raster(np.zeros((3, 3))))
 
 
+@pytest.mark.parametrize("label", [1.5, -0.5, 2.0 + 2.0**-40])
+def test_fit_rejects_non_integer_labels(label):
+    # int() would truncate 1.5 to class 1, which selects no pixel and gets a NaN box
+    roi = Raster([[label, 2.0], [0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"ROI label {label!r} is not an integer"):
+            fit_parallelepiped(BandSet([Raster.constant(2, 2, 10.0)]), roi)
+
+
+def test_fit_accepts_integral_float_labels():
+    roi = Raster([[3.0, -1.0], [0.0, 3.0]])
+    model = fit_parallelepiped(BandSet([Raster.constant(2, 2, 10.0)]), roi)
+    assert list(model.intervals) == [3]
+
+
 def test_classify_box_membership_and_tiebreak():
     bands = BandSet([Raster([[5.0, 100.0, 5.0]])])
     model = ClassModel(band_count=1, intervals={
