@@ -12,30 +12,66 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def conv_rows(padded: np.ndarray, taps, out: np.ndarray, row0: int, row1: int,
+def conv_rows(padded: np.ndarray, taps, radius: int, out: np.ndarray, row0: int, row1: int,
               scaled_center: float | None = None) -> None:
-    """Fill rows [row0, row1) of ``out`` from the radius-padded input.
+    """Fill rows [row0, row1) of ``out`` from the C-contiguous, radius-padded
+    input.
 
     ``taps`` lists ``(coefficient, row offset, column offset)`` for the
     non-zero coefficients, indices into the coefficient grid, in ascending
     order. Without ``scaled_center`` the rows get the convolution; with it
     they get the Jacobi update ``cur - conv / scaled_center``, where ``cur``
-    is the interior of ``padded``.
+    is the interior of ``padded``. ``out`` is the unpadded output, or a
+    C-contiguous buffer shaped like ``padded`` whose interior rows get the
+    update; the halo columns of those rows are then left to the caller to
+    rewrite.
+
+    Each tap reads one contiguous run of the flattened ``padded``: with
+    ``W`` its row length, output pixel (j, i) of the tile is lane
+    ``j * W + i`` of every run, and the ``2 * radius`` lanes between two
+    output rows fall on halo columns and are computed, then dropped.
     """
-    w = out.shape[1]
-    radius = (padded.shape[1] - w) // 2
-    block = out[row0:row1] if scaled_center is None else np.empty((row1 - row0, w))
-    # Skipping the zero taps leaves every byte as the full 25-tap sum has it.
-    # The accumulator starts at +0.0, and under round-to-nearest a sum is
-    # -0.0 only when both addends are -0.0, so the accumulator is never -0.0;
-    # adding the +-0.0 product of a zero tap and a finite sample to it then
-    # changes nothing. This needs the +0.0 start: seeding the accumulator
-    # with the first product could leave a -0.0 where the full sum has +0.0.
-    block[:] = 0.0
-    for coeff, qi, pi in taps:
-        block += coeff * padded[row0 + qi : row1 + qi, pi : pi + w]
-    if scaled_center is not None:
+    width = padded.shape[1]
+    w = width - 2 * radius
+    n = row1 - row0
+    length = (n - 1) * width + w
+    flat = padded.reshape(-1)
+    buf = np.empty(n * width)
+    acc = buf[:length]
+    term = np.empty(length)
+    # A dropped lane can overflow where no output does; errstate is
+    # per thread, so it is set here, on the thread that runs the tile.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Skipping the zero taps leaves every byte as the full 25-tap sum has
+        # it. The accumulator starts at +0.0, and under round-to-nearest a sum
+        # is -0.0 only when both addends are -0.0, so the accumulator is never
+        # -0.0; adding the +-0.0 product of a zero tap and a finite sample to
+        # it then changes nothing. This needs the +0.0 start: the first tap
+        # stores `0.0 + term`, never the bare product. A unit tap adds or
+        # subtracts the sample itself: 1 * x == x, and a - x == a + (-x).
+        total = 0.0
+        if not taps:
+            acc.fill(0.0)
+        for coeff, qi, pi in taps:
+            start = (row0 + qi) * width + pi
+            run = flat[start : start + length]
+            if coeff == 1.0:
+                np.add(total, run, out=acc)
+            elif coeff == -1.0:
+                np.subtract(total, run, out=acc)
+            else:
+                np.multiply(coeff, run, out=term)
+                np.add(total, term, out=acc)
+            total = acc
+        if scaled_center is None:
+            out[row0:row1] = buf.reshape(n, width)[:, :w]
+            return
         # the same two per-element operations as `cur - (conv / scaled_center)`
-        np.divide(block, scaled_center, out=block)
-        np.subtract(padded[row0 + radius : row1 + radius, radius : radius + w], block,
-                    out=out[row0:row1])
+        np.divide(acc, scaled_center, out=acc)
+        cur = (row0 + radius) * width + radius
+        if out.shape == padded.shape:
+            np.subtract(flat[cur : cur + length], acc,
+                        out=out.reshape(-1)[cur : cur + length])
+        else:
+            np.subtract(padded[row0 + radius : row1 + radius, radius : radius + w],
+                        buf.reshape(n, width)[:, :w], out=out[row0:row1])

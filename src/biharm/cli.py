@@ -44,10 +44,15 @@ def _minmax_scaled(r: Raster, maxval: int = 255) -> Raster:
     return Raster._from_array((r.data - lo) / (hi - lo) * maxval)
 
 
+def _check_output_bands(count: int, path) -> None:
+    if str(path).endswith(".pgm") and count != 1:
+        raise ValueError(f"PGM output holds one band, have {count}")
+
+
 def _write_output(bands: BandSet, path, scale: bool = False) -> None:
+    """Write ``bands`` to ``path``; a ``.pgm`` path was checked by
+    ``_check_output_bands`` before any band was made."""
     if str(path).endswith(".pgm"):
-        if len(bands) != 1:
-            raise ValueError(f"PGM output holds one band, have {len(bands)}")
         band = _minmax_scaled(bands[0]) if scale else bands[0]
         save_pgm(band, path, 255)
     else:
@@ -94,6 +99,7 @@ def _cmd_stencil(args):
 
 def _cmd_smooth(args):
     bands = _load_input(args.in_path)
+    _check_output_bands(len(bands), args.out_path)
     stencil = _make_stencil(args)
     boundary = Boundary.parse(args.boundary)
     smoothed = [
@@ -119,6 +125,7 @@ def _band_map(args, mode, stencil, band, name):
 
 def _cmd_detect(args):
     bands = _load_input(args.in_path)
+    _check_output_bands(len(bands), args.out_path)
     stencil = _make_stencil(args)
     mode = MapMode(args.mode)
     maps = [_band_map(args, mode, stencil, band, name)
@@ -159,6 +166,9 @@ def _cmd_classify(args):
     bands = _load_input(args.in_path)
     roi = _load_input(args.roi)[0]
     model = fit_parallelepiped(bands, roi)
+    top = max(model.class_ids())
+    if top > 255:
+        raise ValueError(f"ROI class id {top} does not fit the 8-bit label PGM (at most 255)")
     labels = classify_parallelepiped(bands, model)
     save_pgm(labels, args.out_path, 255)
     if args.truth:
@@ -172,6 +182,7 @@ def _cmd_synth(args):
         spec = parse_scene_spec(fh.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    _check_output_bands(spec.band_count, args.out_path)
     bands, truth = synth_scene(spec)
     _write_output(bands, args.out_path)
     if args.truth_out:

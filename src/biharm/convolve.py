@@ -38,8 +38,8 @@ _PAD_MODE = {
 }
 
 
-# rows per tile: fastest of 16/32/64/128 for 5 sweeps of 2048x2048 rasters
-# on 2 workers (README, "Engine")
+# rows per tile: fastest of 16/32/48/64/128 for 5 sweeps of 2048x2048
+# rasters on 2 workers (README, "Engine")
 DEFAULT_TILE_HEIGHT = 32
 
 
@@ -103,10 +103,12 @@ def _sweeps(
     is the Jacobi update ``cur - conv(cur) / scaled_center`` of the previous
     pass's output (see ``_kernels.conv_rows``). The input is padded once;
     intermediate passes alternate between two padded buffers, and after each
-    one only the halo of the buffer just written is refreshed (for ZERO it
-    stays zero). The tile list and the worker pool serve every pass. Rows are
-    split into bands of tile_height; workers read overlapping padded rows but
-    write disjoint output rows, so scheduling cannot change results.
+    one only the halo of the buffer just written is rewritten: a tile's
+    write also spills into the halo columns of its own rows, so even ZERO
+    re-zeroes those columns. The tile list and the worker pool serve every
+    pass. Rows are split into bands of tile_height; workers read overlapping
+    padded rows but write disjoint padded rows, so scheduling cannot change
+    results.
     """
     if tile_height < 1:
         raise ValueError(f"tile_height must be positive, got {tile_height}")
@@ -124,13 +126,12 @@ def _sweeps(
         spare = np.zeros_like(src)
         rows = radius + np.pad(np.arange(h), radius, mode=mode)
         cols = radius + np.pad(np.arange(w), radius, mode=mode)
-    interior = (slice(radius, radius + h), slice(radius, radius + w))
     tiles = [(r0, min(r0 + tile_height, h)) for r0 in range(0, h, tile_height)]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and len(tiles) > 1 else None
     try:
         for done in range(1, passes + 1):
-            out = np.empty((h, w)) if done == passes else spare[interior]
-            jobs = [(src, taps, out, row0, row1, scaled_center) for row0, row1 in tiles]
+            out = np.empty((h, w)) if done == passes else spare
+            jobs = [(src, taps, radius, out, row0, row1, scaled_center) for row0, row1 in tiles]
             if pool is None:
                 for job in jobs:
                     conv_rows(*job)
@@ -138,7 +139,10 @@ def _sweeps(
                 for fut in [pool.submit(conv_rows, *job) for job in jobs]:
                     fut.result()
             if done < passes:
-                if b is not Boundary.ZERO:
+                if b is Boundary.ZERO:
+                    spare[radius : radius + h, :radius] = 0.0
+                    spare[radius : radius + h, radius + w :] = 0.0
+                else:
                     _refresh_halo(spare, radius, rows, cols)
                 src, spare = spare, src
     finally:

@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from biharm import bench as bench_mod
+from biharm import cli as cli_mod
+from biharm import pipeline as pipeline_mod
 from biharm.cli import _metrics_lines, run
 from biharm.convolve import DEFAULT_TILE_HEIGHT, Boundary
 from biharm.formats import load_bandset, load_pgm, save_bandset, save_pgm
@@ -141,6 +144,35 @@ def test_divergent_smooth_exit_1_without_output(tmp_path, capsys, rng):
     err = capsys.readouterr().err
     assert err.startswith("biharm: error: ") and "finite" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--iters", "3"],
+    ["detect", "--mode", "residual"],
+    ["detect", "--mode", "highpass"],
+])
+def test_multiband_pgm_out_exit_1_before_any_band_is_processed(argv, tmp_path, capsys,
+                                                               monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a band was processed")
+
+    monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
+    monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
+    src, out = tmp_path / "in.bfr", tmp_path / "out.pgm"
+    save_bandset(BandSet([Raster(rng.normal(100, 10, (8, 8))) for _ in range(2)]), src)
+    capsys.readouterr()
+    assert run([argv[0], "--in", str(src), "--out", str(out), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "biharm: error: PGM output holds one band, have 2\n"
+    assert not out.exists()
+
+
+def test_synth_multiband_pgm_out_exit_1_without_output(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("width = 8\nheight = 8\nbands = 3\n")
+    out = tmp_path / "scene.pgm"
+    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "biharm: error: PGM output holds one band, have 3\n"
     assert not out.exists()
 
 
@@ -347,6 +379,21 @@ def test_classify_non_integer_roi_label_exit_1_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classify_class_id_above_255_exit_1_without_output(tmp_path, capsys):
+    # the label map is an 8-bit PGM: class 300 would be written as 255
+    src, roi, out = tmp_path / "in.bfr", tmp_path / "roi.bfr", tmp_path / "labels.pgm"
+    save_bandset(BandSet([Raster(np.arange(16.0).reshape(4, 4))]), src)
+    labels = np.ones((4, 4))
+    labels[2:] = 300.0
+    save_bandset(BandSet([Raster(labels)]), roi)
+    capsys.readouterr()
+    assert run(["classify", "--in", str(src), "--roi", str(roi), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("biharm: error: ROI class id 300 does not fit the 8-bit "
+                            "label PGM (at most 255)\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_synth_negative_radius_past_the_edge_exit_1(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text("width = 16\nheight = 16\nanomaly = disk 0 0 -2 5\n")
@@ -372,3 +419,11 @@ def test_bench_small(capsys):
     assert report["bit_identical"] == "True"
     assert float(report["reference_pps"]) > 0
     assert float(report["tiled_pps"]) > 0
+
+
+def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
+    monkeypatch.setattr(bench_mod, "convolve_reference",
+                        lambda r, s, b: Raster(np.zeros(r.shape)))
+    monkeypatch.setattr(bench_mod, "convolve",
+                        lambda r, s, b, tile_height, workers: Raster(np.full(r.shape, -0.0)))
+    assert bench_mod.run_benchmark(16, 16, iters=1)["bit_identical"] is False

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,62 @@ def test_zero_taps_skipped_bytes_equal_reference(policy, stencil, rng):
         for tile_height, workers in ((64, 1), (3, 2)):
             out = convolve(Raster(data), stencil, policy, tile_height, workers)
             assert out.data.tobytes() == ref
+
+
+@pytest.mark.parametrize("shape,policy", [
+    ((7, 5), Boundary.MIRROR),
+    ((6, 1), Boundary.ZERO),
+    ((6, 1), Boundary.WRAP),
+    ((6, 1), Boundary.REPLICATE),
+])
+def test_runs_across_row_ends_at_the_smallest_widths(shape, policy, rng):
+    # a tile of n rows reads each tap as one run of the flattened padded
+    # input that crosses n - 1 row ends, whose halo lanes are dropped; 5 is
+    # the narrowest MIRROR raster and 1 the narrowest of the others
+    h = shape[0]
+    for data in _signed_zero_inputs(rng, *shape):
+        for s in (biharmonic_stencil(1, 1), biharmonic_stencil(0.5, 2), laplacian_baseline()):
+            ref = convolve_reference(Raster(data), s, policy).data.tobytes()
+            for tile_height in (1, 2, h):
+                for workers in (1, 2):
+                    out = convolve(Raster(data), s, policy, tile_height, workers)
+                    assert out.data.tobytes() == ref, (tile_height, workers)
+
+
+def test_all_zero_stencil_gives_positive_zeros():
+    data = np.full((6, 7), -0.0)
+    s = Stencil(radius=1, coeffs=np.zeros((3, 3)))
+    ref = convolve_reference(Raster(data), s, Boundary.ZERO).data.tobytes()
+    assert convolve(Raster(data), s, Boundary.ZERO, 4, 2).data.tobytes() == ref
+
+
+def _huge_edge_columns(trials):
+    # WRAP-sized 9x9 rasters whose two edge column pairs each hold one sign
+    # at 4e306-8e306: trials 74, 129 and 156 overflow only in lanes that
+    # fall on halo columns, which the tap loop computes and then drops
+    rng = np.random.default_rng(0)
+    for _ in range(trials):
+        data = rng.uniform(-1, 1, (9, 9))
+        for cols in (slice(0, 2), slice(7, 9)):
+            data[:, cols] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1, (9, 2)) * 8e306
+        yield data
+
+
+def test_dropped_halo_lanes_raise_no_warning():
+    s = biharmonic_stencil(1, 1)
+    checked = 0
+    for data in _huge_edge_columns(160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = convolve_reference(Raster(data), s, Boundary.WRAP)
+            except (RuntimeWarning, ValueError):
+                continue  # an output overflows: the reference warns too
+            for tile_height, workers in ((32, 1), (3, 2)):
+                out = convolve(Raster(data), s, Boundary.WRAP, tile_height, workers)
+                assert out.data.tobytes() == ref.data.tobytes()
+        checked += 1
+    assert checked > 150
 
 
 def test_default_workers_follow_the_cpu_affinity(monkeypatch):

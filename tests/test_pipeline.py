@@ -123,13 +123,19 @@ def test_jacobi_sweeps_bytes_equal_reference_loop(policy, tile_height, rng):
     ((1, 9), Boundary.WRAP),
     ((2, 1), Boundary.WRAP),
     ((1, 6), Boundary.REPLICATE),
+    ((6, 1), Boundary.ZERO),
+    ((6, 1), Boundary.WRAP),
+    ((6, 1), Boundary.REPLICATE),
 ])
 def test_jacobi_sweeps_bytes_equal_reference_loop_small(shape, policy, rng):
+    # a tile's runs cross the ends of its rows, and an intermediate pass
+    # spills into the halo columns of those rows: 5 is the narrowest MIRROR
+    # raster and 1 the narrowest of the others
     r = Raster(rng.normal(0, 5, shape))
     for iterations in (1, 3):
         for omega in (1.0, 0.3125):
             want = _oracle_sweeps(r, BH, policy, iterations, omega).data.tobytes()
-            for tile_height, workers in ((1, 2), (64, 1)):
+            for tile_height, workers in ((1, 2), (2, 2), (shape[0], 2), (64, 1)):
                 got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
                 assert got.data.tobytes() == want
 
