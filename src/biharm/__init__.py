@@ -1,5 +1,16 @@
 """Biharmonic smoothing stencil, deterministic convolution, and anomaly detection."""
 
+import os
+import sys
+
+# biharm runs its own tile threads. Its one BLAS call, the small product in
+# stencil.symbol_range, is below OpenBLAS's threading threshold, so the pool
+# that numpy starts on import (one thread per CPU) is pure start-up cost in
+# every process. OpenBLAS reads this variable once, when numpy loads: a
+# program that imported numpy first, or set the variable, keeps its setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .convolve import Boundary, convolve, convolve_reference
 from .formats import (
     FormatError,

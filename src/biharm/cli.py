@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary
-from .formats import FormatError, load_bandset, load_pgm, save_bandset, save_pgm
+from .formats import FormatError, _check_band, load_bandset, load_pgm, save_bandset, save_pgm
 from .pipeline import (
     MapMode,
     _threshold_bool,
@@ -27,14 +27,27 @@ from .scene import parse_scene_spec, synth_scene
 from .stencil import biharmonic_stencil, laplacian_baseline
 
 
-def _load_input(path) -> BandSet:
+def _load_input(path, band=None) -> BandSet:
+    """Every band of a PGM or BFR1 file, or only ``band`` as ``load_bandset``
+    reads it."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic[:2] in (b"P2", b"P5"):
-        return BandSet([load_pgm(path)], ["band1"])
+        raster = load_pgm(path)
+        if band is not None:
+            _check_band(band, 1)
+        return BandSet([raster], ["band1"])
     if magic == b"BFR1":
-        return load_bandset(path)
+        return load_bandset(path, band)
     raise FormatError(f"parse error: unrecognized magic {magic!r} in {path}")
+
+
+def _load_single(path, flag) -> Raster:
+    """The one band of a truth, ROI or reference input."""
+    bands = _load_input(path)
+    if len(bands) != 1:
+        raise ValueError(f"{flag} {path} holds {len(bands)} bands, expected 1")
+    return bands[0]
 
 
 def _minmax_scaled(r: Raster, maxval: int = 255) -> Raster:
@@ -141,15 +154,14 @@ def _cmd_detect(args):
 
 
 def _cmd_compare(args):
-    bands = _load_input(args.in_path)
-    if not 0 <= args.band < len(bands):
-        print(f"biharm: error: --band {args.band} is out of range for "
-              f"{len(bands)} band(s)", file=sys.stderr)
+    try:
+        bands = _load_input(args.in_path, args.band)
+    except IndexError as exc:
+        print(f"biharm: error: --{exc}", file=sys.stderr)
         return 2
-    band = bands[args.band]
-    name = bands.band_names[args.band]
-    del bands  # frees the bands that are not compared
-    truth = _load_input(args.truth)[0]  # non-zero is anomalous
+    band, name = bands[0], bands.band_names[0]
+    del bands  # leaves ``band`` the only reference, freed below
+    truth = _load_single(args.truth, "--truth")  # non-zero is anomalous
     residual_map = _band_map(args, MapMode.RESIDUAL,
                              biharmonic_stencil(args.lx, args.ly), band, name)
     baseline_map = _band_map(args, MapMode.HIGHPASS, laplacian_baseline(), band, name)
@@ -164,16 +176,20 @@ def _cmd_compare(args):
 
 def _cmd_classify(args):
     bands = _load_input(args.in_path)
-    roi = _load_input(args.roi)[0]
+    roi = _load_single(args.roi, "--roi")
     model = fit_parallelepiped(bands, roi)
     top = max(model.class_ids())
     if top > 255:
         raise ValueError(f"ROI class id {top} does not fit the 8-bit label PGM (at most 255)")
     labels = classify_parallelepiped(bands, model)
-    save_pgm(labels, args.out_path, 255)
+    # the reference is checked before the label map is written, and freed
+    # before the write's temporaries are made
+    accuracy = None
     if args.truth:
-        truth = _load_input(args.truth)[0]
-        print(f"overall_accuracy={overall_accuracy(labels, truth)!r}")
+        accuracy = overall_accuracy(labels, _load_single(args.truth, "--truth"))
+    save_pgm(labels, args.out_path, 255)
+    if accuracy is not None:
+        print(f"overall_accuracy={accuracy!r}")
     return 0
 
 
@@ -208,6 +224,17 @@ def _positive_int(text):
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2**64), got {text!r}")
     return value
 
 
@@ -291,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--truth-out")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the spec seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("bench", help="reference vs tiled engine throughput")

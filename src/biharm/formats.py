@@ -140,9 +140,17 @@ def save_bandset(b: BandSet, path) -> None:
             fh.write(samples)
 
 
-def load_bandset(path) -> BandSet:
+def _check_band(band: int, band_count: int) -> None:
+    if not 0 <= band < band_count:
+        raise IndexError(f"band {band} is out of range for {band_count} band(s)")
+
+
+def load_bandset(path, band: int | None = None) -> BandSet:
     """Read a BFR1 file band by band; every band is its own float64 array, so
-    the result outlives the file."""
+    the result outlives the file. With ``band`` (0-based), only that band's
+    samples are read, into a one-band set under its name; the header and the
+    whole payload length are checked all the same, and a band the file does
+    not hold is an IndexError."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:4] != BFR_MAGIC:
@@ -177,16 +185,23 @@ def load_bandset(path) -> BandSet:
         size = os.fstat(fh.fileno()).st_size
         if pos + need != size:
             raise FormatError(f"parse error: payload length {size - pos}, expected {need}")
+        if band is None:
+            wanted = range(band_count)
+        else:
+            _check_band(band, band_count)
+            wanted = [band]
+            names = [names[band]]
         # one float32 buffer serves every band. The float64 cast keeps each
         # value, finite or not, so Raster's finiteness check is the check of
         # the samples
         samples = np.empty(count, "<f4")
         bands = []
-        for _ in range(band_count):
+        for index in wanted:
+            start = pos + index * count * 4
+            fh.seek(start)
             got = fh.readinto(samples)
             if got != count * 4:  # the file shrank after the size check
-                raise FormatError(f"parse error: truncated payload at byte {pos + got}")
-            pos += got
+                raise FormatError(f"parse error: truncated payload at byte {start + got}")
             try:
                 bands.append(Raster._from_array(
                     samples.astype(np.float64).reshape(height, width)))

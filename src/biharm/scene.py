@@ -148,8 +148,16 @@ class SceneSpec:
             raise ValueError("scene dimensions must be positive")
         if self.band_count < 1:
             raise ValueError("band count must be positive")
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+        # every comparison with a NaN is false, so `sigma < 0` alone lets a
+        # NaN through: each number is checked to be finite
+        if not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level!r}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma!r}")
+        if not all(map(math.isfinite, self.trend)):
+            raise ValueError(f"trend slopes must be finite, got {self.trend!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
         for a in self.anomalies:
             a.check_bounds(self.width, self.height)
             if len(a.amplitudes) != self.band_count:
@@ -157,6 +165,8 @@ class SceneSpec:
                     f"anomaly has {len(a.amplitudes)} amplitudes for "
                     f"{self.band_count} bands"
                 )
+            if not all(map(math.isfinite, a.amplitudes)):
+                raise ValueError(f"anomaly amplitudes must be finite: {a}")
 
 
 def parse_scene_spec(text: str) -> SceneSpec:

@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 import warnings
 
@@ -314,6 +315,104 @@ def test_compare_truth_of_wrong_size_exit_1(fixture_scene, tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("source,band,count", [
+    ("scene", "5", 3),
+    ("scene", "-1", 3),
+    ("truth", "1", 1),  # a PGM holds one band
+])
+def test_compare_band_out_of_range_message(source, band, count, fixture_scene, capsys):
+    scene, truth = fixture_scene
+    capsys.readouterr()
+    assert run(["compare", "--in", {"scene": scene, "truth": truth}[source],
+                "--truth", truth, "--band", band]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"biharm: error: --band {band} is out of range for {count} band(s)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("compare", "--truth"),
+    ("classify", "--roi"),
+    ("classify", "--truth"),
+])
+def test_multiband_truth_roi_or_reference_exit_1(command, flag, fixture_scene, tmp_path,
+                                                 capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a band was smoothed")
+
+    monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
+    monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
+    scene, truth = fixture_scene
+    out = tmp_path / "labels.pgm"
+    inputs = {"--truth": truth, "--roi": truth}
+    inputs[flag] = scene  # the 3-band scene where one band is expected
+    argv = {
+        "compare": ["--truth", inputs["--truth"]],
+        "classify": ["--roi", inputs["--roi"], "--out", str(out), "--truth", inputs["--truth"]],
+    }[command]
+    capsys.readouterr()
+    assert run([command, "--in", scene, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"biharm: error: {flag} {scene} holds 3 bands, expected 1\n"
+    assert captured.out == "" and not out.exists()
+
+
+def _bfr1_bytes(data):
+    """A BFR1 file put together by hand, so that its payload may hold a NaN."""
+    n, h, w = data.shape
+    names = b"".join(struct.pack("<H", 2) + b"b%d" % i for i in range(n))
+    return b"BFR1" + struct.pack("<III", w, h, n) + names + data.astype("<f4").tobytes()
+
+
+@pytest.fixture
+def nan_in_band_1(tmp_path, rng):
+    """(clean scene, the same scene with a NaN in band 1, truth) paths."""
+    data = rng.normal(100, 10, (3, 20, 24))
+    data[:, 5:9, 6:10] += 40.0
+    clean, dirty, truth = tmp_path / "clean.bfr", tmp_path / "dirty.bfr", tmp_path / "t.pgm"
+    clean.write_bytes(_bfr1_bytes(data))
+    data[1, 7, 3] = np.nan
+    dirty.write_bytes(_bfr1_bytes(data))
+    mask = np.zeros((20, 24))
+    mask[5:9, 6:10] = 255.0
+    save_pgm(Raster(mask), truth, 255)
+    return str(clean), str(dirty), str(truth)
+
+
+@pytest.mark.parametrize("band", ["0", "2"])
+def test_compare_reads_only_the_compared_band(band, nan_in_band_1, capsys):
+    clean, dirty, truth = nan_in_band_1
+    capsys.readouterr()
+    assert run(["compare", "--in", clean, "--truth", truth, "--band", band]) == 0
+    expected = capsys.readouterr().out
+    assert run(["compare", "--in", dirty, "--truth", truth, "--band", band]) == 0
+    assert capsys.readouterr().out == expected
+    assert expected.startswith(f"band=b{band}\n")
+
+
+def test_compare_of_the_band_with_a_nan_exit_1(nan_in_band_1, capsys):
+    _, dirty, truth = nan_in_band_1
+    capsys.readouterr()
+    assert run(["compare", "--in", dirty, "--truth", truth, "--band", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "biharm: error: parse error: non-finite sample in payload\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("band", ["0", "1", "2"])
+def test_compare_checks_the_whole_payload_length(band, nan_in_band_1, tmp_path, capsys):
+    clean, _, truth = nan_in_band_1
+    short = tmp_path / "short.bfr"
+    with open(clean, "rb") as fh:
+        short.write_bytes(fh.read()[:-1])
+    capsys.readouterr()
+    assert run(["compare", "--in", str(short), "--truth", truth, "--band", band]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("biharm: error: parse error: payload length 5759, "
+                            "expected 5760\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("band", ["0", "2"])
 def test_compare_memory_budget(band, tmp_path, capsys):
     # only the compared band stays after the load, and each raster is dropped
@@ -427,3 +526,37 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     monkeypatch.setattr(bench_mod, "convolve",
                         lambda r, s, b, tile_height, workers: Raster(np.full(r.shape, -0.0)))
     assert bench_mod.run_benchmark(16, 16, iters=1)["bit_identical"] is False
+
+
+@pytest.mark.parametrize("line,message", [
+    ("sigma = nan", "noise sigma must be finite and non-negative, got nan"),
+    ("level = inf", "level must be finite, got inf"),
+    ("trend = nan 0", "trend slopes must be finite, got (nan, 0.0)"),
+    ("seed = -1", "seed must be in [0, 2**64), got -1"),
+])
+def test_synth_spec_numbers_exit_1(line, message, tmp_path, capsys):
+    spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"
+    spec.write_text(f"width = 16\nheight = 16\nlevel = 5\n{line}\n")
+    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"biharm: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x", "1.5"])
+def test_synth_seed_outside_64_bits_exit_2(seed, tmp_path, capsys):
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    out = tmp_path / "scene.bfr"
+    assert run(["synth", "--spec", spec, "--out", str(out), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_seed_range_ends(tmp_path):
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    scenes = []
+    for seed in ("0", str(2**64 - 1)):
+        out = tmp_path / f"scene_{seed}.bfr"
+        assert run(["synth", "--spec", spec, "--out", str(out), "--seed", seed]) == 0
+        scenes.append(out.read_bytes())
+    assert scenes[0] != scenes[1]

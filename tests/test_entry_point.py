@@ -1,0 +1,52 @@
+"""The package and the CLI as a fresh interpreter starts them."""
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(*args, **env):
+    """Run a fresh interpreter in dev mode with warnings as errors, under an
+    environment that holds only PATH, the source path and ``env``."""
+    full_env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC, **env}
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+                          env=full_env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_module_runs():
+    proc = _python("-m", "biharm.cli", "stencil")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout.split()) == 25
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_import_starts_no_blas_pool():
+    proc = _python("-c", "import os, biharm; "
+                         "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                         "len(os.listdir('/proc/self/task')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+@pytest.mark.parametrize("env,code,expected", [
+    # a setting made before the import is kept
+    ({"OPENBLAS_NUM_THREADS": "3"},
+     "import os, biharm; print(os.environ['OPENBLAS_NUM_THREADS'])", "3"),
+    # numpy loaded first has read the variable already: it is left unset
+    ({}, "import os, numpy, biharm; print(os.environ.get('OPENBLAS_NUM_THREADS'))", "None"),
+])
+def test_blas_setting_of_the_caller_is_kept(env, code, expected):
+    proc = _python("-c", code, **env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+def test_package_exports_functions_not_submodules():
+    proc = _python("-c", "import inspect; from biharm import convolve, load_bandset; "
+                         "print(inspect.isfunction(convolve), inspect.isfunction(load_bandset))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -282,8 +283,29 @@ def test_bfr1_file_shrinking_after_the_size_check(tmp_path, monkeypatch, cut):
     full = path.stat().st_size
     path.write_bytes(path.read_bytes()[:-cut])
     monkeypatch.setattr("biharm.formats.os.fstat", lambda fd: SimpleNamespace(st_size=full))
-    with pytest.raises(FormatError, match="truncated payload"):
-        load_bandset(path)
+    for band in (None, 1):  # the whole file, and its last band alone
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_bandset(path, band)
+
+
+def test_bfr1_one_band_equals_that_band_of_the_whole_file(tmp_path, rng):
+    path = tmp_path / "b.bfr"
+    data = rng.normal(0, 100, (3, 6, 5))
+    save_bandset(BandSet([Raster(d) for d in data], ["a", "b", "c"]), path)
+    whole = load_bandset(path)
+    for band in range(3):
+        one = load_bandset(path, band)
+        assert one.band_names == (whole.band_names[band],) and len(one) == 1
+        assert one[0].data.tobytes() == whole[band].data.tobytes()
+
+
+@pytest.mark.parametrize("band", [-1, 3, 7])
+def test_bfr1_band_out_of_range(tmp_path, band):
+    path = tmp_path / "b.bfr"
+    save_bandset(BandSet([Raster.constant(4, 3, float(i)) for i in range(3)]), path)
+    with pytest.raises(IndexError) as info:
+        load_bandset(path, band)
+    assert str(info.value) == f"band {band} is out of range for 3 band(s)"
 
 
 # the reader's messages for every file shorter than the 16-byte header
@@ -343,6 +365,15 @@ def test_load_bandset_memory_budget(tmp_path, rng):
     assert _traced_peak(lambda: load_bandset(path)) <= 1.25 * band_bytes
 
 
+def test_load_one_band_memory_budget(tmp_path, rng):
+    # the float32 buffer, the one float64 band and its finiteness mask: the
+    # other bands are never read
+    path = tmp_path / "b.bfr"
+    save_bandset(_bands_3x256(rng), path)
+    band_bytes = 256 * 256 * 8
+    assert _traced_peak(lambda: load_bandset(path, 2)) <= 1.75 * band_bytes
+
+
 def test_save_bandset_memory_budget(tmp_path, rng):
     # the float32 bands are written as they are, not joined into one bytes
     bands = _bands_3x256(rng)
@@ -385,7 +416,7 @@ def mutated_files(draw):
 def test_mutated_files_load_or_raise_format_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.bin"
     path.write_bytes(data)
-    for load in (load_pgm, load_bandset):
+    for load in (load_pgm, load_bandset, partial(load_bandset, band=0)):
         tracemalloc.start()
         try:
             load(path)

@@ -215,3 +215,37 @@ def test_negative_radius_inside_draws_the_disk_of_its_magnitude(radius):
         return bands[0].data.tobytes(), truth.data.tobytes()
 
     assert scene(radius) == scene(-radius)
+
+
+# a NaN fails every comparison, so a check written as `sigma < 0` lets it by
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("level", INF, "level must be finite"),
+    ("level", -INF, "level must be finite"),
+    ("level", NAN, "level must be finite"),
+    ("sigma", NAN, "sigma must be finite and non-negative"),
+    ("sigma", INF, "sigma must be finite and non-negative"),
+    ("sigma", -1.0, "sigma must be finite and non-negative"),
+    ("trend", (NAN, 0.0), "trend slopes must be finite"),
+    ("trend", (0.0, -INF), "trend slopes must be finite"),
+    ("seed", -1, "seed must be in"),
+    ("seed", 2**64, "seed must be in"),
+])
+def test_spec_numbers_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SceneSpec(**{"width": 16, "height": 16, "level": 5.0, field: value})
+
+
+@pytest.mark.parametrize("amplitude", [NAN, INF, -INF])
+def test_anomaly_amplitudes_must_be_finite(amplitude):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        SceneSpec(width=16, height=16, anomalies=(Rect(2, 2, 3, 3, (amplitude,)),))
+
+
+def test_seed_range_ends_are_distinct_scenes():
+    def noise(seed):
+        return synth_scene(SceneSpec(width=8, height=8, sigma=1.0, seed=seed))[0][0].data
+
+    assert not np.array_equal(noise(0), noise(2**64 - 1))
