@@ -21,15 +21,15 @@ def conv_rows(padded: np.ndarray, taps, radius: int, out: np.ndarray, row0: int,
     non-zero coefficients, indices into the coefficient grid, in ascending
     order. Without ``scaled_center`` the rows get the convolution; with it
     they get the Jacobi update ``cur - conv / scaled_center``, where ``cur``
-    is the interior of ``padded``. ``out`` is the unpadded output, or a
-    C-contiguous buffer shaped like ``padded`` whose interior rows get the
-    update; the halo columns of those rows are then left to the caller to
-    rewrite.
+    is the interior of ``padded``. ``out`` is a 2-D ``(h, w)`` destination,
+    a fresh array or the interior view of another padded buffer; only its
+    rows [row0, row1) are written, so a halo around it is never touched.
 
     Each tap reads one contiguous run of the flattened ``padded``: with
     ``W`` its row length, output pixel (j, i) of the tile is lane
     ``j * W + i`` of every run, and the ``2 * radius`` lanes between two
-    output rows fall on halo columns and are computed, then dropped.
+    output rows fall on halo columns and are computed, then dropped; they
+    never leave the tile's own buffer.
     """
     width = padded.shape[1]
     w = width - 2 * radius
@@ -39,6 +39,7 @@ def conv_rows(padded: np.ndarray, taps, radius: int, out: np.ndarray, row0: int,
     buf = np.empty(n * width)
     acc = buf[:length]
     term = np.empty(length)
+    rows = buf.reshape(n, width)[:, :w]
     # A dropped lane can overflow where no output does; errstate is
     # per thread, so it is set here, on the thread that runs the tile.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -64,14 +65,9 @@ def conv_rows(padded: np.ndarray, taps, radius: int, out: np.ndarray, row0: int,
                 np.add(total, term, out=acc)
             total = acc
         if scaled_center is None:
-            out[row0:row1] = buf.reshape(n, width)[:, :w]
+            out[row0:row1] = rows
             return
         # the same two per-element operations as `cur - (conv / scaled_center)`
         np.divide(acc, scaled_center, out=acc)
-        cur = (row0 + radius) * width + radius
-        if out.shape == padded.shape:
-            np.subtract(flat[cur : cur + length], acc,
-                        out=out.reshape(-1)[cur : cur + length])
-        else:
-            np.subtract(padded[row0 + radius : row1 + radius, radius : radius + w],
-                        buf.reshape(n, width)[:, :w], out=out[row0:row1])
+        np.subtract(padded[row0 + radius : row1 + radius, radius : radius + w], rows,
+                    out=out[row0:row1])

@@ -342,6 +342,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"biharm: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"biharm: error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> int:

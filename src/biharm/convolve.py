@@ -102,19 +102,21 @@ def _sweeps(
     Without ``scaled_center`` a pass is the convolution. With it, each pass
     is the Jacobi update ``cur - conv(cur) / scaled_center`` of the previous
     pass's output (see ``_kernels.conv_rows``). The input is padded once;
-    intermediate passes alternate between two padded buffers, and after each
-    one only the halo of the buffer just written is rewritten: a tile's
-    write also spills into the halo columns of its own rows, so even ZERO
-    re-zeroes those columns. The tile list and the worker pool serve every
-    pass. Rows are split into bands of tile_height; workers read overlapping
-    padded rows but write disjoint padded rows, so scheduling cannot change
-    results.
+    the last pass writes a fresh ``(h, w)`` array and every earlier pass
+    writes the interior of the other of two padded buffers, after which
+    only that buffer's halo is rewritten. A pass never writes a halo, so
+    ZERO's stays zero. Rows are split into bands of tile_height, and every
+    pass runs them on one pool of ``min(workers, tiles)`` threads; workers
+    read overlapping padded rows but write disjoint rows, so scheduling
+    cannot change results.
     """
     if tile_height < 1:
         raise ValueError(f"tile_height must be positive, got {tile_height}")
-    _check_dims(r, s, b)
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    _check_dims(r, s, b)
     radius = s.radius
     h, w = r.shape
     k = 2 * radius + 1
@@ -127,27 +129,19 @@ def _sweeps(
         rows = radius + np.pad(np.arange(h), radius, mode=mode)
         cols = radius + np.pad(np.arange(w), radius, mode=mode)
     tiles = [(r0, min(r0 + tile_height, h)) for r0 in range(0, h, tile_height)]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and len(tiles) > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=min(workers, len(tiles))) as pool:
         for done in range(1, passes + 1):
-            out = np.empty((h, w)) if done == passes else spare
-            jobs = [(src, taps, radius, out, row0, row1, scaled_center) for row0, row1 in tiles]
-            if pool is None:
-                for job in jobs:
-                    conv_rows(*job)
+            if done == passes:
+                out = np.empty((h, w))
             else:
-                for fut in [pool.submit(conv_rows, *job) for job in jobs]:
-                    fut.result()
+                out = spare[radius : radius + h, radius : radius + w]
+            for fut in [pool.submit(conv_rows, src, taps, radius, out, row0, row1, scaled_center)
+                        for row0, row1 in tiles]:
+                fut.result()
             if done < passes:
-                if b is Boundary.ZERO:
-                    spare[radius : radius + h, :radius] = 0.0
-                    spare[radius : radius + h, radius + w :] = 0.0
-                else:
+                if b is not Boundary.ZERO:
                     _refresh_halo(spare, radius, rows, cols)
                 src, spare = spare, src
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return out
 
 

@@ -227,22 +227,30 @@ def synth_scene(spec: SceneSpec):
     inside anomaly footprints. Bit-identical for a fixed seed."""
     h, w = spec.height, spec.width
     yy, xx = np.ogrid[0:h, 0:w]
-    base = spec.level + spec.trend[0] * xx + spec.trend[1] * yy
-    boxes = [a.box(w, h) for a in spec.anomalies]
-    footprints = [(box, a.mask(box)) for a, box in zip(spec.anomalies, boxes)]
-    bands = []
-    for b in range(spec.band_count):
-        if spec.sigma > 0:
-            # base + sigma * noise in the noise's own array: IEEE + and *
-            # commute, so the bits are the same
-            band = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
-            band *= spec.sigma
-            band += base
-        else:
-            band = base.astype(np.float64)
-        for anomaly, (box, fp) in zip(spec.anomalies, footprints):
-            band[box][fp] += anomaly.amplitudes[b]
-        bands.append(Raster._from_array(band))
+    # finite spec numbers can still overflow; the raster's finiteness check
+    # sees that, and its error is turned into one that names the spec
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = spec.level + spec.trend[0] * xx + spec.trend[1] * yy
+        boxes = [a.box(w, h) for a in spec.anomalies]
+        footprints = [(box, a.mask(box)) for a, box in zip(spec.anomalies, boxes)]
+        bands = []
+        for b in range(spec.band_count):
+            if spec.sigma > 0:
+                # base + sigma * noise in the noise's own array: IEEE + and *
+                # commute, so the bits are the same
+                band = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
+                band *= spec.sigma
+                band += base
+            else:
+                band = base.astype(np.float64)
+            for anomaly, (box, fp) in zip(spec.anomalies, footprints):
+                band[box][fp] += anomaly.amplitudes[b]
+            try:
+                bands.append(Raster._from_array(band))
+            except ValueError:
+                raise ValueError(
+                    f"scene band {b + 1} overflows: level, trend, sigma and the "
+                    f"anomaly amplitudes must keep every sample finite") from None
     truth = np.zeros((h, w))
     for box, fp in footprints:
         truth[box][fp] = 1.0

@@ -542,6 +542,37 @@ def test_synth_spec_numbers_exit_1(line, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "level = 1e308\nanomaly = rect 1 1 2 2 1e308",
+    "trend = 1e308 0",
+])
+def test_synth_overflowing_spec_numbers_exit_1(lines, tmp_path, capsys):
+    spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"
+    spec.write_text(f"width = 16\nheight = 16\n{lines}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "biharm: error: scene band 1 overflows: level, trend, sigma and the "
+        "anomaly amplitudes must keep every sample finite\n")
+    assert not out.exists()
+
+
+def test_synth_out_of_memory_exit_1(monkeypatch, tmp_path, capsys):
+    # a stand-in for numpy's allocation failure: a real huge allocation
+    # could take the machine's memory instead of failing
+    def synth_scene(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli_mod, "synth_scene", synth_scene)
+    spec = os.path.join(FIXTURES, "compare_scene.txt")
+    out = tmp_path / "scene.bfr"
+    assert run(["synth", "--spec", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "biharm: error: out of memory: Unable to allocate 7.28 TiB for an array\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "x", "1.5"])
 def test_synth_seed_outside_64_bits_exit_2(seed, tmp_path, capsys):
     spec = os.path.join(FIXTURES, "compare_scene.txt")

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from biharm import _kernels
 from biharm.convolve import Boundary, convolve, convolve_reference, default_workers
 from biharm.raster import Raster
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
@@ -80,6 +81,12 @@ def test_mirror_too_small_rejected(rng):
 def test_bad_tile_height(rng):
     with pytest.raises(ValueError, match="tile_height"):
         convolve(Raster.constant(8, 8), biharmonic_stencil(1, 1), Boundary.ZERO, tile_height=0)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_bad_workers(workers):
+    with pytest.raises(ValueError, match="workers must be positive"):
+        convolve(Raster.constant(8, 8), biharmonic_stencil(1, 1), Boundary.ZERO, workers=workers)
 
 
 def test_linearity_within_4_ulp(rng):
@@ -236,3 +243,27 @@ def test_default_workers_without_affinity_use_the_cpu_count(monkeypatch):
     assert default_workers() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert default_workers() == 1
+
+
+@pytest.mark.parametrize("scaled_center", [None, 20.0])
+@pytest.mark.parametrize("row0,row1", [(0, 4), (4, 8), (8, 11)])
+def test_conv_rows_writes_only_its_rows_of_out(scaled_center, row0, row1, rng):
+    # an intermediate Jacobi pass stores into the interior view of the other
+    # padded buffer; ZERO's halo stays zero only because no lane of a tile,
+    # dropped halo lanes included, lands outside out[row0:row1]
+    s = biharmonic_stencil(1, 1)
+    radius = s.radius
+    k = 2 * radius + 1
+    taps = [(float(s.coeffs[qi, pi]), qi, pi)
+            for qi in range(k) for pi in range(k) if s.coeffs[qi, pi] != 0.0]
+    data = rng.normal(0, 5, (11, 9))
+    padded = np.pad(data, radius, mode="reflect")
+    dest = np.full_like(padded, np.nan)
+    out = dest[radius:-radius, radius:-radius]
+    _kernels.conv_rows(padded, taps, radius, out, row0, row1, scaled_center)
+    conv = convolve_reference(Raster(data), s, Boundary.MIRROR).data
+    want = conv if scaled_center is None else data - conv / scaled_center
+    assert out[row0:row1].tobytes() == want[row0:row1].tobytes()
+    written = np.zeros(dest.shape, dtype=bool)
+    written[radius + row0 : radius + row1, radius:-radius] = True
+    assert np.isnan(dest[~written]).all()

@@ -128,9 +128,9 @@ def test_jacobi_sweeps_bytes_equal_reference_loop(policy, tile_height, rng):
     ((6, 1), Boundary.REPLICATE),
 ])
 def test_jacobi_sweeps_bytes_equal_reference_loop_small(shape, policy, rng):
-    # a tile's runs cross the ends of its rows, and an intermediate pass
-    # spills into the halo columns of those rows: 5 is the narrowest MIRROR
-    # raster and 1 the narrowest of the others
+    # a tile's runs cross the ends of its rows, and the lanes that fall on
+    # halo columns are dropped: 5 is the narrowest MIRROR raster and 1 the
+    # narrowest of the others
     r = Raster(rng.normal(0, 5, shape))
     for iterations in (1, 3):
         for omega in (1.0, 0.3125):
