@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -207,46 +208,35 @@ def _cmd_synth(args):
 
 
 def _cmd_bench(args):
-    try:
-        w, h = (int(v) for v in args.size.lower().split("x"))
-    except ValueError:
-        raise ValueError(f"--size must look like 2048x2048, got {args.size!r}") from None
+    w, h = args.size
     results = bench_mod.run_benchmark(w, h, args.iters, args.workers, args.tile_height)
     for key, value in results.items():
         print(f"{key}={value}")
     return 0
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, accept, expected):
+    """An argparse type: ``convert(text)`` if that raises no ``ValueError``
+    and ``accept`` takes the value, else a usage error naming ``expected``."""
+    def check(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return check
 
 
-def _seed(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in [0, 2**64), got {text!r}")
-    return value
-
-
-def _sigma_k(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite non-negative number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_sigma_k = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                    "a finite non-negative number")
+_size = _checked(lambda text: [int(v) for v in text.lower().split("x")],
+                 lambda wh: len(wh) == 2 and min(wh) >= 1,
+                 "WIDTHxHEIGHT in positive integers, like 2048x2048")
 
 
 def _add_engine_flags(p):
@@ -322,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("bench", help="reference vs tiled engine throughput")
-    p.add_argument("--size", default="2048x2048")
+    p.add_argument("--size", type=_size, default="2048x2048")
     p.add_argument("--iters", type=_positive_int, default=3)
     p.add_argument("--workers", type=_positive_int, default=4)
     p.add_argument("--tile-height", type=_positive_int, default=DEFAULT_TILE_HEIGHT)
@@ -348,6 +338,8 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
+    # a warning is one stderr line, without the source file and line
+    warnings.formatwarning = lambda message, *_, **__: f"biharm: warning: {message}\n"
     return run()
 
 

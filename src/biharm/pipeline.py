@@ -11,7 +11,7 @@ import numpy as np
 
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _sweeps, convolve
 from .raster import BandSet, Raster
-from .stencil import Stencil, symbol_range
+from .stencil import Stencil, jacobi_range
 
 
 class MapMode(enum.Enum):
@@ -41,13 +41,12 @@ def smooth_jacobi(
     pixel by -(sum of off-center taps)/center.
 
     One sweep multiplies the frequency theta by 1 - omega A(theta)/center,
-    where A is the stencil's Fourier symbol (``validate_stencil`` reports
-    its range). Repeated sweeps are stable only for
-    ``omega < 2 center / max A``, which is 0.625 for the unit biharmonic
-    template; plain Jacobi (``omega = 1``) multiplies its Nyquist mode by
-    -2.2 per sweep. ``omega = center / max A`` makes every factor lie in
-    [0, 1]. A ``RuntimeWarning`` is emitted when ``iterations > 1`` and
-    some factor is below -1.
+    where A is the stencil's Fourier symbol; ``jacobi_range`` gives the range
+    of these factors. Repeated sweeps are stable only while it lies in
+    [-1, 1]: for the unit biharmonic template, for ``omega < 0.625``, while
+    plain Jacobi (``omega = 1``) multiplies its Nyquist mode by -2.2 per
+    sweep; ``omega = center / max A`` puts it in [0, 1]. A ``RuntimeWarning``
+    is emitted when ``iterations > 1`` and the range leaves [-1, 1].
     """
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
@@ -57,14 +56,19 @@ def smooth_jacobi(
     if center == 0.0:
         raise ValueError("stencil center coefficient must be non-zero")
     if iterations > 1:
-        _, max_symbol = symbol_range(s)
-        factor = 1.0 - omega * max_symbol / center
-        if factor < -1.0:
+        least, greatest = jacobi_range(s, omega)
+        growth = ""
+        # a zero-sum stencil's factor at theta = 0 is 1 up to the symbol's
+        # rounding, which can put it an ulp above 1
+        if greatest > 1.0 + 1e-12 * (greatest - least):
+            growth = f"a frequency by {greatest:g} (no omega > 0 is stable)"
+        elif least < -1.0:
+            growth = (f"the highest frequency by {least:g} "
+                      f"(stable for omega < {2.0 * omega / (1.0 - least):g})")
+        if growth:
             warnings.warn(
                 f"Jacobi iteration diverges: each of the {iterations} sweeps with "
-                f"omega={omega:g} multiplies the highest frequency by {factor:g} "
-                f"(stable for omega < {2.0 * center / max_symbol:g})",
-                RuntimeWarning, stacklevel=2)
+                f"omega={omega:g} multiplies {growth}", RuntimeWarning, stacklevel=2)
     # the sweeps run without a check; the finiteness check of the one output
     # raster still sees a divergent run, since a sample that is once NaN or
     # Inf stays so (the center tap is non-zero)

@@ -146,13 +146,22 @@ def symbol_range(s: Stencil) -> tuple[float, float]:
     return float(symbol.min()), float(symbol.max())
 
 
+def jacobi_range(s: Stencil, omega: float = 1.0) -> tuple[float, float]:
+    """Least and greatest factor 1 - omega A(theta)/center by which one Jacobi
+    sweep damped by ``omega`` multiplies a frequency, A as in ``symbol_range``:
+    [-2.2, 1] for the unit biharmonic template at omega = 1, NaN for a zero
+    center. Repeated sweeps stay bounded only while both lie in [-1, 1]."""
+    center = s.coeff(0, 0)
+    if center == 0.0:
+        return float("nan"), float("nan")
+    return tuple(sorted(1.0 - omega * a / center for a in symbol_range(s)))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """``symbol_range`` is (min A, max A) of the Fourier symbol (see
-    ``symbol_range``). ``jacobi_range`` is the range of the factor
-    1 - A/center by which one plain Jacobi sweep multiplies each frequency:
-    [-2.2, 1] for the unit biharmonic template, NaN for a zero center.
-    Repeated sweeps shrink every frequency only when it lies in (-1, 1]."""
+    """``symbol_range`` is (min A, max A) of the Fourier symbol and
+    ``jacobi_range`` the factor range of one plain (omega = 1) Jacobi sweep;
+    see the functions of those names."""
 
     zero_sum_residual: float
     max_symmetry_violation: float
@@ -185,17 +194,11 @@ def validate_stencil(s: Stencil) -> ValidationReport:
             if total <= 3 and abs(resp) >= 1e-10 * scale:
                 cubic_ok = False
     passed = zero_sum < 1e-12 * scale and sym < 1e-12 * scale and cubic_ok
-    symbol = symbol_range(s)
-    center = s.coeff(0, 0)
-    if center == 0.0:
-        jacobi = (float("nan"), float("nan"))
-    else:
-        jacobi = tuple(sorted(1.0 - a / center for a in symbol))
     return ValidationReport(
         zero_sum_residual=zero_sum,
         max_symmetry_violation=sym,
-        symbol_range=symbol,
-        jacobi_range=jacobi,
+        symbol_range=symbol_range(s),
+        jacobi_range=jacobi_range(s),
         monomial_responses=responses,
         passed=passed,
     )

@@ -66,6 +66,9 @@ def test_usage_errors_exit_2(capsys):
     ["bench", "--iters", "0"],
     ["bench", "--workers", "0"],
     ["bench", "--tile-height", "0"],
+    ["bench", "--size", "2048"],
+    ["bench", "--size", "0x64"],
+    ["bench", "--size", "axb"],
 ])
 def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
     spec = os.path.join(FIXTURES, "compare_scene.txt")
@@ -80,7 +83,7 @@ def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
     capsys.readouterr()
     assert run(argv[:1] + io[argv[0]] + argv[1:]) == 2
     err = capsys.readouterr().err
-    assert "error" in err and "Traceback" not in err
+    assert "error" in err and argv[1] in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["detect", "compare"])
@@ -119,18 +122,28 @@ def test_sigma_k_zero_flags_every_pixel_off_the_mean(tmp_path):
     (["smooth", "--in", "{scene}", "--out", "{out}", "--iters", "400"], "float32 range"),
     (["classify", "--in", "{scene}", "--roi", "{roi}", "--out", "{out}"],
      "parse error: sample outside [0, 255]"),
+    (["classify", "--in", "{scene}", "--roi", "{small}", "--out", "{out}"],
+     "ROI shape (8, 8) does not match bands (32, 32)"),
+    (["classify", "--in", "{scene}", "--roi", "{unlabeled}", "--out", "{out}"],
+     "ROI contains no labeled pixels"),
+    (["smooth", "--in", "{junk}", "--out", "{out}"],
+     "parse error: unrecognized magic b'JUNK' in {junk}"),
 ])
 def test_bad_values_exit_1_without_output(argv, message, tmp_path, capsys, rng):
     paths = {"scene": tmp_path / "scene.bfr", "roi": tmp_path / "roi.pgm",
-             "out": tmp_path / "out.bfr"}
+             "small": tmp_path / "small.pgm", "unlabeled": tmp_path / "unlabeled.pgm",
+             "junk": tmp_path / "junk.bin", "out": tmp_path / "out.bfr"}
     save_bandset(BandSet([Raster(rng.normal(100, 10, (32, 32)))]), paths["scene"])
     paths["roi"].write_bytes(b"P2\n32 32\n255\n" + b"1 " * 1023 + b"1" + b"0" * 400)
+    save_pgm(Raster(np.ones((8, 8))), paths["small"])
+    save_pgm(Raster(np.zeros((32, 32))), paths["unlabeled"])
+    paths["junk"].write_bytes(b"JUNK and more")
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
         assert run([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("biharm: error: ") and message in err
+    assert err.startswith("biharm: error: ") and message.format(**paths) in err
     assert "Traceback" not in err
     assert not paths["out"].exists()
 
@@ -193,6 +206,24 @@ def test_detect_residual_on_constant_input(tmp_path):
     scores = load_bandset(out)
     assert np.all(scores[0].data == 0.0)
     assert np.all(load_pgm(mask).data == 0.0)
+
+
+def test_detect_pgm_out_is_the_map_scaled_to_0_255(tmp_path, rng):
+    data = rng.normal(100, 10, (20, 24))
+    src, out, want = tmp_path / "in.bfr", tmp_path / "scores.pgm", tmp_path / "want.pgm"
+    save_bandset(BandSet([Raster(data)]), src)
+    assert run(["detect", "--in", str(src), "--out", str(out)]) == 0
+    band = load_bandset(src)[0]
+    s = anomaly_residual(band, smooth_jacobi(band, biharmonic_stencil(1.0, 1.0))).scores.data
+    save_pgm(Raster((s - s.min()) / (s.max() - s.min()) * 255), want, 255)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_detect_pgm_out_of_a_constant_map_is_zero(tmp_path):
+    src, out = tmp_path / "in.pgm", tmp_path / "scores.pgm"
+    save_pgm(Raster.constant(9, 7, 80.0), src)
+    assert run(["detect", "--in", str(src), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"P5\n9 7\n255\n" + bytes(63)
 
 
 def test_detect_highpass_laplacian(tmp_path):
@@ -533,6 +564,13 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     ("level = inf", "level must be finite, got inf"),
     ("trend = nan 0", "trend slopes must be finite, got (nan, 0.0)"),
     ("seed = -1", "seed must be in [0, 2**64), got -1"),
+    ("bands = 0", "band count must be positive"),
+    ("bogus", "line 4: expected key = value, got 'bogus'"),
+    ("trend = 1", "line 4: trend needs 2 slopes"),
+    ("anomaly = disk 1 2 3", "line 4: disk needs: disk cx cy radius amp..."),
+    ("anomaly = rect 1 2 3 4", "line 4: rect needs: rect x0 y0 width height amp..."),
+    ("anomaly = rect 1 1 0 3 5",
+     "rectangle must be at least 1x1: Rect(x0=1, y0=1, width=0, height=3, amplitudes=(5.0,))"),
 ])
 def test_synth_spec_numbers_exit_1(line, message, tmp_path, capsys):
     spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"

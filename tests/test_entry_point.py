@@ -3,16 +3,21 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from biharm.formats import save_bandset
+from biharm.raster import BandSet, Raster
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _python(*args, **env):
-    """Run a fresh interpreter in dev mode with warnings as errors, under an
-    environment that holds only PATH, the source path and ``env``."""
+def _python(*args, flags=("-X", "dev", "-W", "error"), **env):
+    """Run a fresh interpreter with ``flags`` (dev mode with warnings as
+    errors), under an environment that holds only PATH, the source path and
+    ``env``."""
     full_env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC, **env}
-    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+    return subprocess.run([sys.executable, *flags, *args],
                           env=full_env, capture_output=True, text=True, timeout=60)
 
 
@@ -21,6 +26,23 @@ def test_cli_module_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert len(proc.stdout.split()) == 25
+
+
+@pytest.mark.parametrize("iters,stderr", [
+    ("3", "biharm: warning: Jacobi iteration diverges: each of the 3 sweeps with "
+          "omega=1 multiplies the highest frequency by -2.2 (stable for omega < 0.625)\n"),
+    ("1", ""),
+])
+def test_cli_warning_is_one_line(iters, stderr, tmp_path):
+    # each of the 3 bands warns from the same line: the default filter shows
+    # the warning once, as one line without the source file and line
+    src, out = tmp_path / "in.bfr", tmp_path / "out.bfr"
+    rng = np.random.default_rng(5)
+    save_bandset(BandSet([Raster(rng.normal(100, 10, (16, 16))) for _ in range(3)]), src)
+    proc = _python("-m", "biharm.cli", "smooth", "--in", str(src), "--out", str(out),
+                   "--iters", iters, flags=("-X", "dev"))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, stderr, "")
+    assert out.exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

@@ -95,6 +95,10 @@ P2_CASES = {
     "negative": (b"P2\n2 1\n255\n5 -1\n", "parse error: negative sample"),
     # 10**400 does not fit a float64: rejected as out of range, not an OverflowError
     "huge-sample": (HUGE_P2, "parse error: sample outside [0, 255]"),
+    # the header and its checks are P2's and P5's alike
+    "header-ends-early": (b"P2\n2 2\n", "parse error: unexpected end of header at byte 7"),
+    "zero-width": (b"P5\n0 2\n255\n", "parse error: non-positive dimensions 0x2"),
+    "p5-no-separator": (b"P5\n1 1\n255", "parse error: missing payload separator at byte 10"),
 }
 
 
@@ -308,19 +312,39 @@ def test_bfr1_band_out_of_range(tmp_path, band):
     assert str(info.value) == f"band {band} is out of range for 3 band(s)"
 
 
-# the reader's messages for every file shorter than the 16-byte header
+# the reader's messages for every file that ends before its name table does:
+# the 16-byte header, then the u16 length and the name "b"
 SHORT_FILES = [(n, "parse error: truncated header" if n >= 4
                 else f"parse error: bad magic {b'BFR1'[:n]!r} at byte 0")
                for n in range(16)]
+SHORT_FILES += [(16, "parse error: truncated name table at byte 16"),
+                (17, "parse error: truncated name table at byte 16"),
+                (18, "parse error: truncated name at byte 18")]
 
 
 @pytest.mark.parametrize("n,message", SHORT_FILES)
 def test_bfr1_short_files(tmp_path, n, message):
     path = tmp_path / "b.bfr"
-    path.write_bytes((b"BFR1" + struct.pack("<III", 1, 1, 1))[:n])
+    path.write_bytes((b"BFR1" + struct.pack("<IIIH", 1, 1, 1, 1) + b"b")[:n])
     with pytest.raises(FormatError) as info:
         load_bandset(path)
     assert str(info.value) == message
+
+
+def test_bfr1_invalid_utf8_name(tmp_path):
+    path = tmp_path / "b.bfr"
+    path.write_bytes(b"BFR1" + struct.pack("<IIIH", 1, 1, 1, 1) + b"\xff" + bytes(4))
+    with pytest.raises(FormatError) as info:
+        load_bandset(path)
+    assert str(info.value) == "parse error: invalid UTF-8 name at byte 18"
+
+
+def test_save_bandset_rejects_band_name_too_long(tmp_path):
+    path = tmp_path / "b.bfr"
+    with pytest.raises(ValueError) as info:
+        save_bandset(BandSet([Raster([[1.0]])], ["é" * 32768]), path)
+    assert str(info.value) == "band name too long (65536 bytes)"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("change", ["delete", "overwrite"])

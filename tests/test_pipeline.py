@@ -24,7 +24,13 @@ from biharm.pipeline import (
     threshold_mask,
 )
 from biharm.raster import BandSet, Raster
-from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline, symbol_range
+from biharm.stencil import (
+    Stencil,
+    biharmonic_stencil,
+    jacobi_range,
+    laplacian_baseline,
+    symbol_range,
+)
 
 from conftest import assert_ulp_close
 
@@ -86,6 +92,62 @@ def test_jacobi_stable_or_single_sweep_does_not_warn(iterations, omega):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         smooth_jacobi(Raster.constant(8, 8), BH, iterations, Boundary.MIRROR, omega=omega)
+
+
+# a 3x3 stencil whose symbol runs from -4 to 8: with center 4, one sweep
+# multiplies the zero frequency by 1 + omega, so no omega > 0 is stable
+GROWTH = Stencil(1, [[-1, -1, -1], [-1, 4, -1], [-1, -1, -1]])
+
+
+@pytest.mark.parametrize("stencil,omega,message", [
+    # the symbol of the negated template is -A and its center -20: the same
+    # factors, and the same sweeps, as the unit template's
+    (Stencil(2, -BH.coeffs), 1.0,
+     "Jacobi iteration diverges: each of the 3 sweeps with omega=1 multiplies "
+     "the highest frequency by -2.2 (stable for omega < 0.625)"),
+    (GROWTH, 0.5,
+     "Jacobi iteration diverges: each of the 3 sweeps with omega=0.5 multiplies "
+     "a frequency by 1.5 (no omega > 0 is stable)"),
+    (GROWTH, 1.0,
+     "Jacobi iteration diverges: each of the 3 sweeps with omega=1 multiplies "
+     "a frequency by 2 (no omega > 0 is stable)"),
+])
+def test_jacobi_warns_for_every_factor_outside_unit_range(stencil, omega, message):
+    with pytest.warns(RuntimeWarning) as caught:
+        smooth_jacobi(Raster.constant(8, 8), stencil, 3, Boundary.MIRROR, omega=omega)
+    assert [str(w.message) for w in caught] == [message]
+
+
+@pytest.mark.parametrize("stencil,iterations,omega", [
+    (laplacian_baseline(), 5, 1.0),
+    (GROWTH, 1, 0.5),
+    (Stencil(2, -BH.coeffs), 1, 1.0),
+])
+def test_jacobi_bounded_factors_or_single_sweep_do_not_warn(stencil, iterations, omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smooth_jacobi(Raster.constant(8, 8), stencil, iterations, Boundary.MIRROR,
+                      omega=omega)
+
+
+def test_jacobi_factor_one_ulp_above_1_does_not_warn():
+    # the symbol at theta = 0 of this zero-sum template rounds to a value
+    # below 0, which puts the factor there one ulp above 1
+    s = biharmonic_stencil(1.307, 0.477)
+    omega = s.coeff(0, 0) / symbol_range(s)[1]
+    assert jacobi_range(s, omega) == (0.0, 1.0 + 2.0**-52)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smooth_jacobi(Raster.constant(8, 8), s, 5, Boundary.MIRROR, omega=omega)
+
+
+def test_jacobi_growth_stencil_grows_the_mean(rng):
+    # the warning's case: a 32x32 N(100, 10) raster's mean goes from 99.5 to
+    # 3.3e5 in 20 sweeps at omega = 0.5
+    r = Raster(rng.normal(100, 10, (32, 32)))
+    with pytest.warns(RuntimeWarning, match="no omega > 0 is stable"):
+        out = smooth_jacobi(r, GROWTH, 20, Boundary.MIRROR, omega=0.5)
+    assert out.data.mean() > 1000 * r.data.mean()
 
 
 def _oracle_sweeps(r, s, b, iterations, omega):

@@ -90,8 +90,9 @@ def test_trend_is_linear():
 
 
 def test_parse_errors():
-    with pytest.raises(ValueError, match="missing required"):
+    with pytest.raises(ValueError) as info:
         parse_scene_spec("level = 5\n")
+    assert str(info.value) == "missing required keys: ['height', 'width']"
     with pytest.raises(ValueError, match="line 2"):
         parse_scene_spec("width = 4\nbogus line\nheight = 4\n")
     with pytest.raises(ValueError, match="unknown key"):

@@ -7,6 +7,7 @@ from biharm.stencil import (
     Monomial,
     Stencil,
     biharmonic_stencil,
+    jacobi_range,
     laplacian_baseline,
     monomial_response,
     validate_stencil,
@@ -139,6 +140,20 @@ def test_symbol_report_zero_center():
     report = validate_stencil(Stencil(radius=1, coeffs=np.zeros((3, 3))))
     assert report.symbol_range == (0.0, 0.0)
     assert all(np.isnan(report.jacobi_range))
+
+
+@pytest.mark.parametrize("coeffs,omega,expected", [
+    (TEMPLATE_UNIT, 0.3125, (0.0, 1.0)),
+    (TEMPLATE_UNIT, 0.5, (-0.6, 1.0)),
+    # negated, the symbol and the center change sign: the factors do not
+    (-TEMPLATE_UNIT, 1.0, (-2.2, 1.0)),
+    # symbol from -4 to 8 with center 4
+    (np.array([[-1.0, -1, -1], [-1, 4, -1], [-1, -1, -1]]), 0.5, (0.0, 1.5)),
+])
+def test_jacobi_range_of_damped_sweeps(coeffs, omega, expected):
+    s = Stencil(radius=len(coeffs) // 2, coeffs=coeffs)
+    assert jacobi_range(s, omega) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert validate_stencil(s).jacobi_range == jacobi_range(s, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
