@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import warnings
 
@@ -25,7 +26,7 @@ from .pipeline import (
 )
 from .raster import BandSet, Raster
 from .scene import parse_scene_spec, synth_scene
-from .stencil import biharmonic_stencil, laplacian_baseline
+from .stencil import biharmonic_stencil, laplacian_baseline, validate_stencil
 
 
 def _load_input(path, band=None) -> BandSet:
@@ -101,13 +102,40 @@ def _metrics_lines(prefix, m):
     ]
 
 
+def _validation_lines(s):
+    """``validate_stencil``'s report, plus two Jacobi dampings from the
+    Fourier symbol A: the stability bound ``2 center / max A``, above which
+    the highest frequency grows, and ``center / max A``, which damps it to 0."""
+    report = validate_stencil(s)
+    center, (a_min, a_max) = s.coeff(0, 0), report.symbol_range
+    lines = [
+        ("lx", repr(s.lx)),
+        ("ly", repr(s.ly)),
+        ("center", repr(center)),
+        ("passed", report.passed),
+        ("zero_sum_residual", repr(report.zero_sum_residual)),
+        ("max_symmetry_violation", repr(report.max_symmetry_violation)),
+        ("symbol_min", repr(a_min)),
+        ("symbol_max", repr(a_max)),
+        ("jacobi_min", repr(report.jacobi_range[0])),
+        ("jacobi_max", repr(report.jacobi_range[1])),
+        ("stability_bound", repr(2.0 * center / a_max)),
+        ("omega_auto", repr(center / a_max)),
+    ]
+    lines += [(f"response_x{u}y{v}", repr(value))
+              for (u, v), value in report.monomial_responses.items()]
+    return lines
+
+
 def _cmd_stencil(args):
     s = _make_stencil(args)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(s.to_csv())
-    else:
+    elif not args.validate:
         print(s.format_grid())
+    if args.validate:
+        _emit_report([("stencil", args.stencil)] + _validation_lines(s), None)
     return 0
 
 
@@ -264,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stencil", help="print or export a stencil")
     _add_stencil_flags(p)
     p.add_argument("--csv", help="write CSV instead of printing")
+    p.add_argument("--validate", action="store_true",
+                   help="print the stencil's checks and Jacobi stability as key=value lines")
     p.set_defaults(func=_cmd_stencil)
 
     p = sub.add_parser("smooth", help="Jacobi smoothing of every band")
@@ -328,7 +358,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, and point stdout at devnull
+        # so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"biharm: error: {exc}", file=sys.stderr)
         return 1

@@ -23,9 +23,10 @@ class UnsupportedFormatError(FormatError):
 # one PGM token: skip whitespace and #-to-end-of-line comments, then capture
 # the next run of non-space, non-# bytes; empty only at the end of the data
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]*)")
-# the same comments, blanked out of the samples so that bytes.split(), whose
-# whitespace is the same six bytes as \s, yields the same tokens
+# the same comments, blanked out of the samples so that numpy's text reader,
+# whose separators are the same six whitespace bytes as \s, sees the same tokens
 _COMMENT = re.compile(rb"#[^\r\n]*")
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
 
 
 def _token_int(m: re.Match, what: str) -> int:
@@ -40,6 +41,38 @@ def _token_int(m: re.Match, what: str) -> int:
 def _header_int(data: bytes, pos: int, what: str):
     m = _TOKEN.match(data, pos)
     return _token_int(m, what), m.end()
+
+
+def _p2_fast(data: bytes, pos: int, count: int, maxval: int):
+    """The first ``count`` P2 samples as int64, read by numpy's text reader,
+    or None when the body is not plain digits and whitespace that hold
+    ``count`` samples in [0, maxval]; ``_p2_tokens`` then reads it."""
+    body = _COMMENT.sub(b" ", data[pos:])
+    # fromstring reads a whitespace-only body as [0], and saturates a token of
+    # 19 or more significant digits to 2**63 - 1, which the maxval test sends
+    # back to the token scan; never pass it a count: with fewer values than
+    # that it returns uninitialized memory
+    if not body or body.isspace() or body.translate(None, _DIGITS_AND_SPACE):
+        return None
+    arr = np.fromstring(body, np.int64, sep=" ")[:count]
+    if len(arr) < count or arr.max() > maxval:
+        return None
+    return arr
+
+
+def _p2_tokens(data: bytes, pos: int, count: int) -> list:
+    """The first ``count`` P2 samples as Python ints, token by token; raises
+    at the first bad token, or at the empty one that ends a short file."""
+    samples = []
+    for m in _TOKEN.finditer(data, pos):
+        if not m[1]:
+            raise FormatError(
+                f"parse error: truncated samples at byte {m.end()} "
+                f"(need {count}, have {len(samples)})"
+            )
+        samples.append(_token_int(m, "sample"))
+        if len(samples) == count:
+            return samples
 
 
 def load_pgm(path) -> Raster:
@@ -58,25 +91,12 @@ def load_pgm(path) -> Raster:
         raise UnsupportedFormatError(f"unsupported maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        tokens = _COMMENT.sub(b" ", data[pos:]).split()[:count]
-        try:
-            samples = list(map(int, tokens)) if len(tokens) == count else None
-        except ValueError:
-            samples = None
-        if samples is None:
-            # rescan to raise for the first bad token, or for the empty one
-            # that ends a short file
-            for have, m in enumerate(_TOKEN.finditer(data, pos)):
-                if not m[1]:
-                    raise FormatError(
-                        f"parse error: truncated samples at byte {m.end()} "
-                        f"(need {count}, have {have})"
-                    )
-                _token_int(m, "sample")
-        try:
-            arr = np.array(samples, dtype=np.float64)
-        except OverflowError:
-            raise FormatError(f"parse error: sample outside [0, {maxval}]") from None
+        arr = _p2_fast(data, pos, count, maxval)
+        if arr is None:
+            try:
+                arr = np.array(_p2_tokens(data, pos, count), dtype=np.float64)
+            except OverflowError:
+                raise FormatError(f"parse error: sample outside [0, {maxval}]") from None
     else:
         # exactly one whitespace byte separates maxval from the payload
         if pos >= len(data) or not data[pos : pos + 1].isspace():

@@ -30,35 +30,62 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
+# stream words (uniform01) or Box-Muller pairs (gaussian) per block: each
+# block's few working arrays stay in the L2 cache, where whole-stream arrays
+# streamed every ufunc through memory
+_BLOCK = 1 << 15
+_RAMP = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+_RAMP.flags.writeable = False
+
+
+def _uniform_run(seed: int, first: int, out: np.ndarray, words: np.ndarray) -> None:
+    """Stream words first+1 .. first+len(out) as doubles in [0, 1), into the
+    float64 array out, one block at a time; words is uint64 scratch of at
+    least min(len(out), _BLOCK) elements. The generator is counter-based and
+    every step is elementwise, so the values do not depend on the blocks."""
+    for a in range(0, len(out), _BLOCK):
+        block = out[a : a + _BLOCK]
+        w = words[: len(block)]
+        np.add(_RAMP[: len(block)], _U64(first + a), out=w)
+        w *= _GOLDEN
+        w += _U64(seed & 0xFFFFFFFFFFFFFFFF)
+        _mix64(w, block.view(np.uint64))  # the output block is the scratch
+        w >>= _U64(11)
+        # the 53-bit words convert to float64 exactly
+        np.multiply(w, 2.0 ** -53, out=block)
+
+
 def uniform01(seed: int, count: int) -> np.ndarray:
     """count doubles in [0, 1) from the splitmix64 counter stream."""
-    words = np.arange(1, count + 1, dtype=np.uint64)
-    words *= _GOLDEN
-    words += _U64(seed & 0xFFFFFFFFFFFFFFFF)
-    scratch = np.empty_like(words)
-    _mix64(words, scratch)
-    words >>= _U64(11)
-    # the 53-bit words convert to float64 exactly; the result takes the
-    # scratch buffer, so the stream never holds more than two arrays
-    return np.multiply(words, 2.0 ** -53, out=scratch.view(np.float64))
+    out = np.empty(count)
+    _uniform_run(seed, 0, out, np.empty(min(count, _BLOCK), np.uint64))
+    return out
 
 
 def gaussian(seed: int, count: int) -> np.ndarray:
-    """count standard normal deviates via Box-Muller on the uniform stream."""
+    """count standard normal deviates via Box-Muller on the uniform stream:
+    pair i takes its radius from stream word i + 1 and its angle from word
+    pairs + i + 1, and gives deviates i and pairs + i."""
     pairs = (count + 1) // 2
-    u = uniform01(seed, 2 * pairs)
-    radius, theta = u[:pairs], u[pairs:]
-    # radius = sqrt(-2 log1p(-u1)) and theta = 2 pi u2, each in place
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    theta *= 2.0 * np.pi
     z = np.empty(2 * pairs)
-    np.cos(theta, out=z[:pairs])
-    np.sin(theta, out=z[pairs:])
-    z[:pairs] *= radius
-    z[pairs:] *= radius
+    size = min(pairs, _BLOCK)
+    words = np.empty(size, np.uint64)
+    radius_buf, theta_buf = np.empty(size), np.empty(size)
+    for a in range(0, pairs, _BLOCK):
+        b = min(a + _BLOCK, pairs)
+        radius, theta = radius_buf[: b - a], theta_buf[: b - a]
+        _uniform_run(seed, a, radius, words)
+        _uniform_run(seed, pairs + a, theta, words)
+        # radius = sqrt(-2 log1p(-u1)) and theta = 2 pi u2, each in place
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=z[a:b])
+        np.sin(theta, out=z[pairs + a : pairs + b])
+        z[a:b] *= radius
+        z[pairs + a : pairs + b] *= radius
     return z[:count]
 
 

@@ -14,7 +14,7 @@ from biharm.convolve import DEFAULT_TILE_HEIGHT, Boundary
 from biharm.formats import load_bandset, load_pgm, save_bandset, save_pgm
 from biharm.pipeline import anomaly_highpass, anomaly_residual, detector_metrics, smooth_jacobi
 from biharm.raster import BandSet, Raster
-from biharm.stencil import biharmonic_stencil, laplacian_baseline
+from biharm.stencil import biharmonic_stencil, jacobi_range, laplacian_baseline
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -46,6 +46,44 @@ def test_stencil_csv_export(tmp_path):
     grid = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert grid.shape == (5, 5)
     assert grid[2, 2] == 2.0 * (3 + 3 * 81 + 4 * 9) / 81.0
+
+
+def test_stencil_output_without_validate_is_unchanged(capsys):
+    assert run(["stencil"]) == 0
+    assert capsys.readouterr().out == (
+        " 0  0  1  0  0\n"
+        " 0  2 -8  2  0\n"
+        " 1 -8 20 -8  1\n"
+        " 0  2 -8  2  0\n"
+        " 0  0  1  0  0\n")
+    assert run(["stencil", "--stencil", "laplacian"]) == 0
+    assert capsys.readouterr().out == "-1 -1 -1\n-1  8 -1\n-1 -1 -1\n"
+
+
+@pytest.mark.parametrize("argv,stencil,expected", [
+    ([], biharmonic_stencil(1.0, 1.0),
+     {"stencil": "biharmonic", "center": "20.0", "passed": "True", "symbol_min": "0.0",
+      "symbol_max": "64.0", "jacobi_min": "-2.2", "jacobi_max": "1.0",
+      "stability_bound": "0.625", "omega_auto": "0.3125", "response_x2y2": "8.0"}),
+    (["--stencil", "laplacian"], laplacian_baseline(),
+     {"stencil": "laplacian", "center": "8.0", "passed": "False", "symbol_max": "12.0",
+      "jacobi_min": "-0.5", "stability_bound": repr(4 / 3), "omega_auto": repr(2 / 3)}),
+    (["--lx", "0.5", "--ly", "2"], biharmonic_stencil(0.5, 2.0),
+     {"lx": "0.5", "ly": "2.0", "center": "104.375", "passed": "True",
+      "symbol_max": "289.0"}),
+])
+def test_stencil_validate_report(capsys, argv, stencil, expected):
+    assert run(["stencil", "--validate", *argv]) == 0
+    report = read_report(capsys.readouterr().out)
+    assert report.items() >= expected.items()
+    # every check of validate_stencil is a line: 12 values and the 15
+    # monomial responses up to degree 4
+    assert len(report) == 1 + 12 + 15
+    # at the stability bound the highest frequency's factor is -1, and at
+    # omega_auto it is 0, so every factor lies in [0, 1]
+    bound, auto = float(report["stability_bound"]), float(report["omega_auto"])
+    assert jacobi_range(stencil, bound)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert jacobi_range(stencil, auto) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 def test_usage_errors_exit_2(capsys):

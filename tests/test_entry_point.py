@@ -12,13 +12,13 @@ from biharm.raster import BandSet, Raster
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _python(*args, flags=("-X", "dev", "-W", "error"), **env):
+def _python(*args, flags=("-X", "dev", "-W", "error"), stdout=subprocess.PIPE, **env):
     """Run a fresh interpreter with ``flags`` (dev mode with warnings as
     errors), under an environment that holds only PATH, the source path and
-    ``env``."""
+    ``env``; stderr is captured, and stdout too unless ``stdout`` is given."""
     full_env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC, **env}
-    return subprocess.run([sys.executable, *flags, *args],
-                          env=full_env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *flags, *args], env=full_env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def test_cli_module_runs():
@@ -26,6 +26,18 @@ def test_cli_module_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert len(proc.stdout.split()) == 25
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE every time, not only when a reader exits early
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "biharm.cli", "stencil", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("iters,stderr", [

@@ -12,6 +12,8 @@ from biharm.formats import (
     _TOKEN,
     FormatError,
     UnsupportedFormatError,
+    _p2_fast,
+    _p2_tokens,
     load_bandset,
     load_pgm,
     save_bandset,
@@ -93,6 +95,18 @@ P2_CASES = {
                                   "parse error: truncated samples at byte 23 (need 4, have 3)"),
     "above-maxval": (b"P2\n2 1\n100\n5 101\n", "parse error: sample 101 exceeds maxval 100"),
     "negative": (b"P2\n2 1\n255\n5 -1\n", "parse error: negative sample"),
+    # numpy's text reader, which reads digits-only bodies, reads a
+    # whitespace-only body as [0] and saturates a token of 19 or more
+    # significant digits to 2**63 - 1; neither may show
+    "whitespace-only-samples": (b"P2\n2 2\n255\n \t\r\n\x0b\x0c ",
+                                "parse error: truncated samples at byte 18 (need 4, have 0)"),
+    "int64-overflow-token": (b"P2\n2 1\n255\n9223372036854775808 1\n",
+                             "parse error: sample 9223372036854775808 exceeds maxval 255"),
+    "long-leading-zero-token": (b"P2\n2 1\n255\n0000000000000000000000007 3\n", [7, 3]),
+    "digits-only-above-maxval": (b"P2\n3 1\n255\n5 300 7\n",
+                                 "parse error: sample 300 exceeds maxval 255"),
+    "digits-only-one-short": (b"P2\n2 2\n255\n1\t2\x0b3\x0c",
+                              "parse error: truncated samples at byte 17 (need 4, have 3)"),
     # 10**400 does not fit a float64: rejected as out of range, not an OverflowError
     "huge-sample": (HUGE_P2, "parse error: sample outside [0, 255]"),
     # the header and its checks are P2's and P5's alike
@@ -190,6 +204,48 @@ def test_p2_samples_equal_findall_reference(tmp_path_factory, file):
             load_pgm(path)
     else:
         assert load_pgm(path).data.ravel().tolist() == expected
+
+
+@st.composite
+def p2_digit_files(draw):
+    """(file, samples offset, sample count, maxval) of a P2 file whose
+    samples are digits only, some with many leading zeros or too many digits
+    for an int64, separated by any mix of the six whitespace bytes and
+    #-comments that may hold digits; some files run short or long."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    count = width * height
+    maxval = draw(st.sampled_from([1, 255, 65535]))
+    tokens = draw(st.lists(
+        st.one_of(st.integers(0, 70000).map(b"%d".__mod__),
+                  st.integers(0, 24).map(lambda zeros: b"0" * zeros + b"7"),
+                  st.integers(10**18, 10**25).map(b"%d".__mod__)),
+        max_size=count + 2))
+    body = []
+    for token in tokens:
+        if draw(st.booleans()):
+            comment = draw(st.binary(max_size=6)).replace(b"\n", b"").replace(b"\r", b"")
+            token += b"#" + comment + draw(st.sampled_from([b"\n", b"\r", b"\r\n"]))
+        sep = draw(st.lists(st.sampled_from(P2_WHITESPACE), min_size=1, max_size=3))
+        body.append(token + b"".join(sep))
+    header = b"P2\n%d %d\n%d\n" % (width, height, maxval)
+    return header + b"".join(body), len(header), count, maxval
+
+
+@settings(max_examples=300, deadline=None)
+@given(p2_digit_files())
+def test_p2_fast_path_equals_token_scan(file):
+    data, pos, count, maxval = file
+    fast = _p2_fast(data, pos, count, maxval)
+    try:
+        slow = _p2_tokens(data, pos, count)
+    except FormatError:  # a short file
+        slow = None
+    if fast is None:
+        # on digits only, the fast path declines a short file and a sample
+        # above maxval, which load_pgm rejects, and nothing else
+        assert slow is None or max(slow) > maxval
+    else:
+        assert fast.tolist() == slow
 
 
 def test_bfr1_known_bytes(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biharm.scene import (
+    _BLOCK,
     Disk,
     Rect,
     SceneSpec,
@@ -112,6 +113,37 @@ def test_gaussian_moments():
     z = gaussian(7, 200000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+# SHA-256 of the float64 bytes of seed 12345's stream, recorded before the
+# stream was made in blocks of _BLOCK = 2**15 pairs (gaussian) or words
+# (uniform01); the sizes sit just below, at and just past block edges
+GAUSSIAN_DIGESTS = {
+    1: "b3b84771a73d70d21b55d16bca52d705c8068b40b527345e0a5d52f6bff10162",
+    2: "e80a6eb52fddffcd9597ff0f731d78244fcaba54eaaa1efe887e8f89102165cd",
+    3: "df4405585e6ecbea561b57c730d6626d91e9be998ca2f1ba9ae8d9329c076511",
+    65535: "e589049a8a8043758638172e33303f77629344aa130552ee5118c39f92510b55",
+    65536: "d7818159ca0d18b978c12e5a438e76f25ac067248f68e6cb9866f1f4788819ce",
+    65537: "a5bf6ea60a27818ba4df354cbe56793accc9d209e5f60132f3c47c9db073bc66",
+    196613: "770041bc00385d87a1f7422bd6b3ad297e1b4efb23ae973874d7bce65d4e7389",
+}
+UNIFORM_DIGESTS = {
+    1: "0cfd3f47a67cb9d5149700af7d3e0bd4ba7ea6d1b2ed363233ca2d020158f313",
+    2: "f4e3b95255b69610feb0c352400c16d7a6895e126d3d41029f3edd634ac0b1fa",
+    3: "d5f24c3ea31dbd0bde8d03a9075fa337d8d1af446749d0097f70b170e04964f4",
+    65535: "1545210f78ee79fa9e00c5807da0f5acba95a6883f01064fe76780976b125e05",
+    65536: "c4c37dafc90bc1c8834f9c6af19a745098cd01b1df4c08e678118bd0ddcfd2fc",
+    65537: "c5feed6523901a89ecd6de67cfa605184bf74f5727d7da6c9730093f04d88303",
+    196613: "17efb7ace6ac53490d413ada366d54d9df07944dd2bb2a07b68b122d435ca1ef",
+}
+
+
+@pytest.mark.parametrize("noise,digests", [(gaussian, GAUSSIAN_DIGESTS),
+                                           (uniform01, UNIFORM_DIGESTS)])
+def test_noise_stream_bytes_pinned(noise, digests):
+    assert _BLOCK == 2**15, "choose sizes around the new block edges"
+    assert {n: hashlib.sha256(noise(12345, n).tobytes()).hexdigest()
+            for n in digests} == digests
 
 
 # SHA-256 of every band's and the truth's float64 bytes, recorded with the
