@@ -12,7 +12,15 @@ import numpy as np
 
 from . import bench as bench_mod
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary
-from .formats import FormatError, _check_band, load_bandset, load_pgm, save_bandset, save_pgm
+from .formats import (
+    FormatError,
+    _check_band,
+    _save_mask,
+    load_bandset,
+    load_pgm,
+    save_bandset,
+    save_pgm,
+)
 from .pipeline import (
     MapMode,
     _threshold_bool,
@@ -178,7 +186,7 @@ def _cmd_detect(args):
         union = np.zeros(scores[0].shape, dtype=bool)
         for m in maps:
             union |= _threshold_bool(m, args.sigma_k)
-        save_pgm(Raster._from_array(union * 255.0), args.mask_out, 255)
+        _save_mask(union, args.mask_out)
     return 0
 
 
@@ -231,7 +239,7 @@ def _cmd_synth(args):
     bands, truth = synth_scene(spec)
     _write_output(bands, args.out_path)
     if args.truth_out:
-        save_pgm(Raster._from_array(truth.data * 255.0), args.truth_out, 255)
+        _save_mask(truth.data != 0.0, args.truth_out)
     return 0
 
 

@@ -105,10 +105,13 @@ def _sweeps(
     the last pass writes a fresh ``(h, w)`` array and every earlier pass
     writes the interior of the other of two padded buffers, after which
     only that buffer's halo is rewritten. A pass never writes a halo, so
-    ZERO's stays zero. Rows are split into bands of tile_height, and every
-    pass runs them on one pool of ``min(workers, tiles)`` threads; workers
-    read overlapping padded rows but write disjoint rows, so scheduling
-    cannot change results.
+    ZERO's stays zero. Rows are split into bands of tile_height, dealt
+    into ``n = min(workers, tiles)`` interleaved shares: every pass, the
+    calling thread runs the first share while ``n - 1`` pool threads run one
+    other share each, so one worker starts no thread. Tiles read overlapping
+    padded rows but write disjoint rows, so scheduling cannot change results.
+    A pass ends only once every share is done, even when one raises; the
+    calling thread's exception then wins over a pool thread's.
     """
     if tile_height < 1:
         raise ValueError(f"tile_height must be positive, got {tile_height}")
@@ -125,18 +128,30 @@ def _sweeps(
     mode = _PAD_MODE[b]
     src = np.pad(r.data, radius, mode=mode)
     if passes > 1:
-        spare = np.zeros_like(src)
+        # ZERO's halo needs zeros; np.zeros takes them from pages the kernel
+        # already zeroed, where zeros_like writes every byte
+        spare = np.zeros(src.shape)
         rows = radius + np.pad(np.arange(h), radius, mode=mode)
         cols = radius + np.pad(np.arange(w), radius, mode=mode)
     tiles = [(r0, min(r0 + tile_height, h)) for r0 in range(0, h, tile_height)]
-    with ThreadPoolExecutor(max_workers=min(workers, len(tiles))) as pool:
+    n = min(workers, len(tiles))
+    shares = [tiles[i::n] for i in range(n)]
+
+    def run(share, src, out):
+        for row0, row1 in share:
+            conv_rows(src, taps, radius, out, row0, row1, scaled_center)
+
+    # a pool starts a thread only at a submit; leaving the block waits for
+    # every submitted share, also when the calling thread's share raised
+    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
         for done in range(1, passes + 1):
             if done == passes:
                 out = np.empty((h, w))
             else:
                 out = spare[radius : radius + h, radius : radius + w]
-            for fut in [pool.submit(conv_rows, src, taps, radius, out, row0, row1, scaled_center)
-                        for row0, row1 in tiles]:
+            helpers = [pool.submit(run, share, src, out) for share in shares[1:]]
+            run(shares[0], src, out)
+            for fut in helpers:
                 fut.result()
             if done < passes:
                 if b is not Boundary.ZERO:

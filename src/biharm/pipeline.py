@@ -102,13 +102,24 @@ def _threshold_bool(m: AnomalyMap, k_sigma: float) -> np.ndarray:
     if not (math.isfinite(k_sigma) and k_sigma >= 0.0):
         raise ValueError(f"k_sigma must be finite and non-negative, got {k_sigma}")
     scores = m.scores.data
-    mu = float(scores.mean())
-    sd = float(scores.std())
+    deviation = np.empty_like(scores)
+    mu, sd = _mean_sd(scores, deviation)
     if sd == 0.0:
         return np.zeros(scores.shape, dtype=bool)
-    deviation = scores - mu
+    np.subtract(scores, mu, out=deviation)
     np.abs(deviation, out=deviation)
     return deviation > k_sigma * sd
+
+
+def _mean_sd(scores: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """``(float(scores.mean()), float(scores.std()))``, bit for bit, with the
+    squared deviations written to ``scratch`` (same shape, float64): the
+    subtract, square, sum, divide and square root that ``std()`` runs, after
+    its mean pass, which equals ``mean()``'s."""
+    mu = float(scores.mean())
+    np.subtract(scores, mu, out=scratch)
+    np.square(scratch, out=scratch)
+    return mu, math.sqrt(float(scratch.sum()) / scratch.size)
 
 
 def threshold_mask(m: AnomalyMap, k_sigma: float) -> Raster:

@@ -1,4 +1,7 @@
+import importlib
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +15,8 @@ from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
 from conftest import assert_ulp_close, quad_loop_convolve
 
 ALL_POLICIES = list(Boundary)
+# the module, which the package's ``convolve`` function shadows as an attribute
+convolve_module = importlib.import_module("biharm.convolve")
 
 
 def test_impulse_response_centered():
@@ -57,6 +62,87 @@ def test_tiled_bit_identical(tile_height, workers, rng):
         ref = convolve_reference(Raster(data), s, policy)
         out = convolve(Raster(data), s, policy, tile_height, workers)
         assert np.array_equal(out.data, ref.data)
+
+
+@pytest.mark.parametrize("tile_height", [4, 6, 40])  # 11, 7 and 2 tiles of 41 rows
+def test_worker_counts_give_equal_bytes(tile_height, rng):
+    # the calling thread runs every n-th tile and each helper the tiles in
+    # between; no worker count from 2 to 5 divides 11 or 7 tiles, and 2 tiles
+    # leave 3 and 5 workers with fewer shares than workers. A short switch
+    # interval interleaves the threads' Python steps as often as it can
+    data = rng.normal(0, 1, (41, 23))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for s in (biharmonic_stencil(1.0, 1.0), laplacian_baseline()):
+            for policy in ALL_POLICIES:
+                ref = convolve_reference(Raster(data), s, policy).data.tobytes()
+                for workers in (1, 2, 3, 5):
+                    out = convolve(Raster(data), s, policy, tile_height, workers)
+                    assert out.data.tobytes() == ref, (policy, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _spy_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_one_worker_starts_no_thread(monkeypatch, rng):
+    r = Raster(rng.normal(0, 1, (40, 12)))
+    s = biharmonic_stencil(1.0, 1.0)
+    want = convolve_reference(r, s).data.tobytes()
+    started = _spy_thread_starts(monkeypatch)
+    assert convolve(r, s, Boundary.MIRROR, 4, 1).data.tobytes() == want
+    assert started == []
+    convolve(r, s, Boundary.MIRROR, 4, 2)
+    assert len(started) == 1  # the spy sees the one helper of two workers
+
+
+class TileError(Exception):
+    pass
+
+
+def _raising_tiles(monkeypatch, raising):
+    """Make the tiles that start at a row in ``raising`` raise TileError
+    naming that row; returns the list of tiles that ran to completion."""
+    done = []
+
+    def conv_rows(padded, taps, radius, out, row0, row1, scaled_center=None):
+        if row0 in raising:
+            raise TileError(f"tile at row {row0}")
+        _kernels.conv_rows(padded, taps, radius, out, row0, row1, scaled_center)
+        done.append(row0)
+
+    monkeypatch.setattr(convolve_module, "conv_rows", conv_rows)
+    return done
+
+
+@pytest.mark.parametrize("raising,message", [
+    ({0}, "tile at row 0"),  # the first tile of the calling thread's share
+    ({4}, "tile at row 4"),  # the first tile of the helper's share
+    ({0, 4}, "tile at row 0"),  # both: the calling thread's exception wins
+])
+def test_a_raising_tile_raises_once_every_share_is_done(monkeypatch, rng, raising, message):
+    r = Raster(rng.normal(0, 1, (40, 12)))  # 10 tiles of 4 rows, 5 per share
+    threads = threading.active_count()
+    done = _raising_tiles(monkeypatch, raising)
+    with pytest.raises(TileError, match=message):
+        convolve(r, biharmonic_stencil(1.0, 1.0), Boundary.MIRROR, 4, 2)
+    assert threading.active_count() == threads  # the helper was joined
+    # the share that did not raise ran to its end before the call returned
+    if 4 not in raising:
+        assert sorted(done) == [4, 12, 20, 28, 36]
+    if 0 not in raising:
+        assert sorted(done) == [0, 8, 16, 24, 32]
 
 
 def test_minimum_legal_mirror_size(rng):

@@ -9,11 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biharm.formats import (
+    _COMMENT,
     _TOKEN,
     FormatError,
     UnsupportedFormatError,
     _p2_fast,
+    _p2_split,
     _p2_tokens,
+    _save_mask,
     load_bandset,
     load_pgm,
     save_bandset,
@@ -153,6 +156,19 @@ def test_pgm_roundtrip_equals_clamp_round(tmp_path, rng):
         assert np.array_equal(back.data, expected)
 
 
+@pytest.mark.parametrize("name", ["random", "all-false", "all-true", "1x1"])
+def test_save_mask_bytes_equal_save_pgm_of_scaled_mask(tmp_path, rng, name):
+    mask = {
+        "random": rng.random((37, 53)) < 0.3,
+        "all-false": np.zeros((8, 5), dtype=bool),
+        "all-true": np.ones((5, 8), dtype=bool),
+        "1x1": np.ones((1, 1), dtype=bool),
+    }[name]
+    _save_mask(mask, tmp_path / "mask.pgm")
+    save_pgm(Raster._from_array(mask * 255.0), tmp_path / "ref.pgm", 255)
+    assert (tmp_path / "mask.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
 P2_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
 
 
@@ -209,17 +225,20 @@ def test_p2_samples_equal_findall_reference(tmp_path_factory, file):
 @st.composite
 def p2_digit_files(draw):
     """(file, samples offset, sample count, maxval) of a P2 file whose
-    samples are digits only, some with many leading zeros or too many digits
-    for an int64, separated by any mix of the six whitespace bytes and
-    #-comments that may hold digits; some files run short or long."""
+    samples are mostly digits only, some with many leading zeros or too many
+    digits for an int64, and some signed, with underscores or not integers;
+    separated by any mix of the six whitespace bytes and #-comments that may
+    hold digits; some files run short or long."""
     width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     count = width * height
     maxval = draw(st.sampled_from([1, 255, 65535]))
-    tokens = draw(st.lists(
-        st.one_of(st.integers(0, 70000).map(b"%d".__mod__),
-                  st.integers(0, 24).map(lambda zeros: b"0" * zeros + b"7"),
-                  st.integers(10**18, 10**25).map(b"%d".__mod__)),
-        max_size=count + 2))
+    digits = st.one_of(st.integers(0, 70000).map(b"%d".__mod__),
+                       st.integers(0, 24).map(lambda zeros: b"0" * zeros + b"7"),
+                       st.integers(10**18, 10**25).map(b"%d".__mod__))
+    other = st.one_of(st.integers(-300, 300).map(b"%+d".__mod__),
+                      st.sampled_from([b"1_0", b"0_7", b"+0", b"-0", b"1__0", b"_1",
+                                       b"1_", b"+-1", b"x"]))
+    tokens = draw(st.lists(st.one_of(digits, digits, digits, other), max_size=count + 2))
     body = []
     for token in tokens:
         if draw(st.booleans()):
@@ -235,15 +254,20 @@ def p2_digit_files(draw):
 @given(p2_digit_files())
 def test_p2_fast_path_equals_token_scan(file):
     data, pos, count, maxval = file
-    fast = _p2_fast(data, pos, count, maxval)
+    body = _COMMENT.sub(b" ", data[pos:])
+    fast = _p2_fast(body, count, maxval)
     try:
         slow = _p2_tokens(data, pos, count)
-    except FormatError:  # a short file
+    except FormatError:  # a short file or a bad token
         slow = None
+    # the split fallback reads what the token scan reads, and declines
+    # exactly where the scan raises
+    assert _p2_split(body, count) == slow
     if fast is None:
-        # on digits only, the fast path declines a short file and a sample
-        # above maxval, which load_pgm rejects, and nothing else
-        assert slow is None or max(slow) > maxval
+        # the fast path declines a short file, a sample above maxval, which
+        # load_pgm rejects, and a body with a token that is not plain digits
+        digits_only = all(t.isdigit() for t in body.split())
+        assert slow is None or max(slow) > maxval or not digits_only
     else:
         assert fast.tolist() == slow
 

@@ -12,6 +12,8 @@ from biharm.pipeline import (
     AnomalyMap,
     ClassModel,
     MapMode,
+    _mean_sd,
+    _threshold_bool,
     anomaly_highpass,
     anomaly_residual,
     classify_parallelepiped,
@@ -177,6 +179,17 @@ def test_jacobi_sweeps_bytes_equal_reference_loop(policy, tile_height, rng):
             for workers in (1, 2, 4):
                 got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
                 assert got.data.tobytes() == want, (iterations, omega, workers)
+
+
+@pytest.mark.parametrize("tile_height", [4, 6, 40])  # 11, 7 and 2 tiles of 41 rows
+def test_jacobi_sweeps_bytes_equal_for_every_worker_count(tile_height, rng):
+    # no worker count from 2 to 5 divides 11 or 7 tiles into equal shares
+    r = Raster(rng.normal(100, 20, (41, 23)))
+    for policy in Boundary:
+        want = _oracle_sweeps(r, BH, policy, 3, 0.3125).data.tobytes()
+        for workers in (1, 2, 3, 5):
+            got = smooth_jacobi(r, BH, 3, policy, tile_height, workers, 0.3125)
+            assert got.data.tobytes() == want, (policy, workers)
 
 
 @pytest.mark.parametrize("shape,policy", [
@@ -358,6 +371,41 @@ def test_meaningless_k_sigma_raises(k_sigma):
 def test_threshold_zero_k_flags_everything_off_mean():
     data = np.array([[1.0, 3.0, 2.0, 2.0]])
     assert threshold_mask(_map(data), 0.0).data.tolist() == [[1.0, 1.0, 0.0, 0.0]]
+
+
+@st.composite
+def score_maps(draw):
+    """2-D float64 score maps from 1x1 up: constant or not, with -0.0
+    samples, at magnitudes from 1e-300 to 1e300."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    scale = draw(st.sampled_from([1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300]))
+    unit = st.one_of(st.floats(-10.0, 10.0), st.just(-0.0))
+    if draw(st.booleans()):
+        values = [draw(unit)] * (shape[0] * shape[1])
+    else:
+        values = draw(st.lists(unit, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+    return np.array(values).reshape(shape) * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_maps(), st.sampled_from([0.0, 3.0]))
+@example(np.full((3, 1), 0.1), 0.0)  # the mean of a constant map rounds off it
+@example(np.array([[1e-300, -1e-300]]), 3.0)  # the squares underflow: sd == 0
+@example(np.array([[1e308, -1e308]]), 0.0)  # the squares overflow: sd == inf
+def test_threshold_bool_equals_std_formula(s, k_sigma):
+    # huge maps overflow std()'s squares or sums to inf, as they overflow the
+    # mean pass, and then 0 * inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = float(s.mean()), float(s.std())
+        got_mu, got_sd = _mean_sd(s, np.empty_like(s))
+        mask = _threshold_bool(_map(s), k_sigma)
+        want = np.abs(s - s.mean()) > k_sigma * s.std()
+    assert repr((got_mu, got_sd)) == repr((mu, sd))
+    if sd == 0.0:  # the documented rule for a map without spread
+        want = np.zeros(s.shape, dtype=bool)
+    assert mask.dtype == bool
+    assert mask.tobytes() == want.tobytes()
 
 
 def test_auc_perfect_and_uninformative():
