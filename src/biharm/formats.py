@@ -43,51 +43,21 @@ def _header_int(data: bytes, pos: int, what: str):
     return _token_int(m, what), m.end()
 
 
-def _p2_fast(body: bytes, count: int, maxval: int):
-    """The first ``count`` P2 samples of ``body``, the samples with their
-    comments blanked, as int64 read by numpy's text reader; None when the
-    body is not plain digits and whitespace that hold ``count`` samples in
-    [0, maxval]."""
+def _p2_fast(data: bytes, pos: int, count: int, maxval: int):
+    """The first ``count`` P2 samples as int64, read by numpy's text reader,
+    or None when the body is not plain digits and whitespace that hold
+    ``count`` samples in [0, maxval]; ``_p2_tokens`` then reads it."""
+    body = _COMMENT.sub(b" ", data[pos:])
     # fromstring reads a whitespace-only body as [0], and saturates a token of
     # 19 or more significant digits to 2**63 - 1, which the maxval test sends
-    # on to ``_p2_split``; never pass it a count: with fewer values than that
-    # it returns uninitialized memory
+    # back to the token scan; never pass it a count: with fewer values than
+    # that it returns uninitialized memory
     if not body or body.isspace() or body.translate(None, _DIGITS_AND_SPACE):
         return None
     arr = np.fromstring(body, np.int64, sep=" ")[:count]
     if len(arr) < count or arr.max() > maxval:
         return None
     return arr
-
-
-def _p2_split(body: bytes, count: int):
-    """The first ``count`` P2 samples of ``body``, the samples with their
-    comments blanked, as Python ints; None when a token is not an integer or
-    the body runs short. ``split()`` cuts at the same six whitespace bytes
-    as ``_TOKEN``, so the tokens, and their ``int`` values, are those of
-    ``_p2_tokens``."""
-    try:
-        samples = list(map(int, body.split()[:count]))
-    except ValueError:
-        return None
-    return samples if len(samples) == count else None
-
-
-def _p2_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    """The first ``count`` P2 samples, read by ``_p2_fast`` or else by
-    ``_p2_split``; the token scan runs only to raise its message at the bad
-    or missing token."""
-    body = _COMMENT.sub(b" ", data[pos:])
-    arr = _p2_fast(body, count, maxval)
-    if arr is not None:
-        return arr
-    samples = _p2_split(body, count)
-    if samples is None:
-        samples = _p2_tokens(data, pos, count)
-    try:
-        return np.array(samples, dtype=np.float64)
-    except OverflowError:
-        raise FormatError(f"parse error: sample outside [0, {maxval}]") from None
 
 
 def _p2_tokens(data: bytes, pos: int, count: int) -> list:
@@ -121,7 +91,12 @@ def load_pgm(path) -> Raster:
         raise UnsupportedFormatError(f"unsupported maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        arr = _p2_samples(data, pos, count, maxval)
+        arr = _p2_fast(data, pos, count, maxval)
+        if arr is None:
+            try:
+                arr = np.array(_p2_tokens(data, pos, count), dtype=np.float64)
+            except OverflowError:
+                raise FormatError(f"parse error: sample outside [0, {maxval}]") from None
     else:
         # exactly one whitespace byte separates maxval from the payload
         if pos >= len(data) or not data[pos : pos + 1].isspace():

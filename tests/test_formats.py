@@ -9,12 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biharm.formats import (
-    _COMMENT,
     _TOKEN,
     FormatError,
     UnsupportedFormatError,
     _p2_fast,
-    _p2_split,
     _p2_tokens,
     _save_mask,
     load_bandset,
@@ -225,20 +223,17 @@ def test_p2_samples_equal_findall_reference(tmp_path_factory, file):
 @st.composite
 def p2_digit_files(draw):
     """(file, samples offset, sample count, maxval) of a P2 file whose
-    samples are mostly digits only, some with many leading zeros or too many
-    digits for an int64, and some signed, with underscores or not integers;
-    separated by any mix of the six whitespace bytes and #-comments that may
-    hold digits; some files run short or long."""
+    samples are digits only, some with many leading zeros or too many digits
+    for an int64, separated by any mix of the six whitespace bytes and
+    #-comments that may hold digits; some files run short or long."""
     width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     count = width * height
     maxval = draw(st.sampled_from([1, 255, 65535]))
-    digits = st.one_of(st.integers(0, 70000).map(b"%d".__mod__),
-                       st.integers(0, 24).map(lambda zeros: b"0" * zeros + b"7"),
-                       st.integers(10**18, 10**25).map(b"%d".__mod__))
-    other = st.one_of(st.integers(-300, 300).map(b"%+d".__mod__),
-                      st.sampled_from([b"1_0", b"0_7", b"+0", b"-0", b"1__0", b"_1",
-                                       b"1_", b"+-1", b"x"]))
-    tokens = draw(st.lists(st.one_of(digits, digits, digits, other), max_size=count + 2))
+    tokens = draw(st.lists(
+        st.one_of(st.integers(0, 70000).map(b"%d".__mod__),
+                  st.integers(0, 24).map(lambda zeros: b"0" * zeros + b"7"),
+                  st.integers(10**18, 10**25).map(b"%d".__mod__)),
+        max_size=count + 2))
     body = []
     for token in tokens:
         if draw(st.booleans()):
@@ -254,20 +249,15 @@ def p2_digit_files(draw):
 @given(p2_digit_files())
 def test_p2_fast_path_equals_token_scan(file):
     data, pos, count, maxval = file
-    body = _COMMENT.sub(b" ", data[pos:])
-    fast = _p2_fast(body, count, maxval)
+    fast = _p2_fast(data, pos, count, maxval)
     try:
         slow = _p2_tokens(data, pos, count)
-    except FormatError:  # a short file or a bad token
+    except FormatError:  # a short file
         slow = None
-    # the split fallback reads what the token scan reads, and declines
-    # exactly where the scan raises
-    assert _p2_split(body, count) == slow
     if fast is None:
-        # the fast path declines a short file, a sample above maxval, which
-        # load_pgm rejects, and a body with a token that is not plain digits
-        digits_only = all(t.isdigit() for t in body.split())
-        assert slow is None or max(slow) > maxval or not digits_only
+        # on digits only, the fast path declines a short file and a sample
+        # above maxval, which load_pgm rejects, and nothing else
+        assert slow is None or max(slow) > maxval
     else:
         assert fast.tolist() == slow
 

@@ -176,20 +176,11 @@ def test_jacobi_sweeps_bytes_equal_reference_loop(policy, tile_height, rng):
     for iterations in (1, 3):
         for omega in (1.0, 0.3125):
             want = _oracle_sweeps(r, BH, policy, iterations, omega).data.tobytes()
-            for workers in (1, 2, 4):
+            # no worker count from 2 to 5 divides 37 tiles, 4 and 5 leave
+            # 6 tiles in unequal shares, and 2 or 1 tiles fewer than 3 workers
+            for workers in (1, 2, 3, 4, 5):
                 got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
                 assert got.data.tobytes() == want, (iterations, omega, workers)
-
-
-@pytest.mark.parametrize("tile_height", [4, 6, 40])  # 11, 7 and 2 tiles of 41 rows
-def test_jacobi_sweeps_bytes_equal_for_every_worker_count(tile_height, rng):
-    # no worker count from 2 to 5 divides 11 or 7 tiles into equal shares
-    r = Raster(rng.normal(100, 20, (41, 23)))
-    for policy in Boundary:
-        want = _oracle_sweeps(r, BH, policy, 3, 0.3125).data.tobytes()
-        for workers in (1, 2, 3, 5):
-            got = smooth_jacobi(r, BH, 3, policy, tile_height, workers, 0.3125)
-            assert got.data.tobytes() == want, (policy, workers)
 
 
 @pytest.mark.parametrize("shape,policy", [
