@@ -30,9 +30,8 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-# stream words (uniform01) or Box-Muller pairs (gaussian) per block: each
-# block's few working arrays stay in the L2 cache, where whole-stream arrays
-# streamed every ufunc through memory
+# Box-Muller pairs per block: each block's few working arrays stay in the
+# L2 cache, where whole-stream arrays streamed every ufunc through memory
 _BLOCK = 1 << 15
 _RAMP = np.arange(1, _BLOCK + 1, dtype=np.uint64)
 _RAMP.flags.writeable = False
@@ -40,26 +39,17 @@ _RAMP.flags.writeable = False
 
 def _uniform_run(seed: int, first: int, out: np.ndarray, words: np.ndarray) -> None:
     """Stream words first+1 .. first+len(out) as doubles in [0, 1), into the
-    float64 array out, one block at a time; words is uint64 scratch of at
-    least min(len(out), _BLOCK) elements. The generator is counter-based and
-    every step is elementwise, so the values do not depend on the blocks."""
-    for a in range(0, len(out), _BLOCK):
-        block = out[a : a + _BLOCK]
-        w = words[: len(block)]
-        np.add(_RAMP[: len(block)], _U64(first + a), out=w)
-        w *= _GOLDEN
-        w += _U64(seed & 0xFFFFFFFFFFFFFFFF)
-        _mix64(w, block.view(np.uint64))  # the output block is the scratch
-        w >>= _U64(11)
-        # the 53-bit words convert to float64 exactly
-        np.multiply(w, 2.0 ** -53, out=block)
-
-
-def uniform01(seed: int, count: int) -> np.ndarray:
-    """count doubles in [0, 1) from the splitmix64 counter stream."""
-    out = np.empty(count)
-    _uniform_run(seed, 0, out, np.empty(min(count, _BLOCK), np.uint64))
-    return out
+    float64 array out of len(out) <= _BLOCK; words is uint64 scratch of at
+    least len(out) elements. The generator is counter-based and every step is
+    elementwise, so the values do not depend on the blocks."""
+    w = words[: len(out)]
+    np.add(_RAMP[: len(out)], _U64(first), out=w)
+    w *= _GOLDEN
+    w += _U64(seed & 0xFFFFFFFFFFFFFFFF)
+    _mix64(w, out.view(np.uint64))  # the output block is the scratch
+    w >>= _U64(11)
+    # the 53-bit words convert to float64 exactly
+    np.multiply(w, 2.0 ** -53, out=out)
 
 
 def gaussian(seed: int, count: int) -> np.ndarray:

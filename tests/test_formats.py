@@ -319,6 +319,12 @@ def test_raster_rejects_nonfinite():
         Raster([[1.0, float("inf")]])
     with pytest.raises(ValueError):
         Raster([[float("nan")]])
+    with pytest.raises(ValueError) as info:
+        Raster(np.zeros(3))
+    assert str(info.value) == "raster data must be 2-D, got 1-D"
+    with pytest.raises(ValueError) as info:
+        Raster(np.zeros((0, 3)))
+    assert str(info.value) == "raster dimensions must be positive, got (0, 3)"
 
 
 def test_bandset_shape_mismatch():
@@ -326,6 +332,9 @@ def test_bandset_shape_mismatch():
         BandSet([Raster([[1.0]]), Raster([[1.0, 2.0]])])
     with pytest.raises(ValueError):
         BandSet([Raster([[1.0]])], ["a", "b"])
+    with pytest.raises(ValueError) as info:
+        BandSet([])
+    assert str(info.value) == "band set needs at least one band"
 
 
 def test_save_bandset_rejects_float32_overflow(tmp_path):

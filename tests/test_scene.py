@@ -14,7 +14,6 @@ from biharm.scene import (
     gaussian,
     parse_scene_spec,
     synth_scene,
-    uniform01,
 )
 
 
@@ -102,13 +101,6 @@ def test_parse_errors():
         parse_scene_spec("width = 4\nheight = 4\nanomaly = blob 1 2 3 4\n")
 
 
-def test_uniform_stream_range_and_determinism():
-    u = uniform01(42, 10000)
-    assert np.array_equal(u, uniform01(42, 10000))
-    assert u.min() >= 0.0 and u.max() < 1.0
-    assert abs(u.mean() - 0.5) < 0.02
-
-
 def test_gaussian_moments():
     z = gaussian(7, 200000)
     assert abs(z.mean()) < 0.01
@@ -116,8 +108,8 @@ def test_gaussian_moments():
 
 
 # SHA-256 of the float64 bytes of seed 12345's stream, recorded before the
-# stream was made in blocks of _BLOCK = 2**15 pairs (gaussian) or words
-# (uniform01); the sizes sit just below, at and just past block edges
+# stream was made in blocks of _BLOCK = 2**15 pairs; the sizes sit just
+# below, at and just past block edges
 GAUSSIAN_DIGESTS = {
     1: "b3b84771a73d70d21b55d16bca52d705c8068b40b527345e0a5d52f6bff10162",
     2: "e80a6eb52fddffcd9597ff0f731d78244fcaba54eaaa1efe887e8f89102165cd",
@@ -127,23 +119,12 @@ GAUSSIAN_DIGESTS = {
     65537: "a5bf6ea60a27818ba4df354cbe56793accc9d209e5f60132f3c47c9db073bc66",
     196613: "770041bc00385d87a1f7422bd6b3ad297e1b4efb23ae973874d7bce65d4e7389",
 }
-UNIFORM_DIGESTS = {
-    1: "0cfd3f47a67cb9d5149700af7d3e0bd4ba7ea6d1b2ed363233ca2d020158f313",
-    2: "f4e3b95255b69610feb0c352400c16d7a6895e126d3d41029f3edd634ac0b1fa",
-    3: "d5f24c3ea31dbd0bde8d03a9075fa337d8d1af446749d0097f70b170e04964f4",
-    65535: "1545210f78ee79fa9e00c5807da0f5acba95a6883f01064fe76780976b125e05",
-    65536: "c4c37dafc90bc1c8834f9c6af19a745098cd01b1df4c08e678118bd0ddcfd2fc",
-    65537: "c5feed6523901a89ecd6de67cfa605184bf74f5727d7da6c9730093f04d88303",
-    196613: "17efb7ace6ac53490d413ada366d54d9df07944dd2bb2a07b68b122d435ca1ef",
-}
 
 
-@pytest.mark.parametrize("noise,digests", [(gaussian, GAUSSIAN_DIGESTS),
-                                           (uniform01, UNIFORM_DIGESTS)])
-def test_noise_stream_bytes_pinned(noise, digests):
+def test_gaussian_stream_bytes_pinned():
     assert _BLOCK == 2**15, "choose sizes around the new block edges"
-    assert {n: hashlib.sha256(noise(12345, n).tobytes()).hexdigest()
-            for n in digests} == digests
+    assert {n: hashlib.sha256(gaussian(12345, n).tobytes()).hexdigest()
+            for n in GAUSSIAN_DIGESTS} == GAUSSIAN_DIGESTS
 
 
 # SHA-256 of every band's and the truth's float64 bytes, recorded with the
@@ -265,6 +246,7 @@ NAN, INF = float("nan"), float("inf")
     ("trend", (0.0, -INF), "trend slopes must be finite"),
     ("seed", -1, "seed must be in"),
     ("seed", 2**64, "seed must be in"),
+    ("width", 0, "^scene dimensions must be positive$"),
 ])
 def test_spec_numbers_out_of_range(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -86,6 +86,16 @@ def test_hand_built_non_finite_stencil_rejected(coeffs, lx, ly):
         Stencil(radius=1, coeffs=coeffs, lx=lx, ly=ly)
 
 
+@pytest.mark.parametrize("radius,coeffs,message", [
+    (-1, np.zeros((1, 1)), "radius must be non-negative, got -1"),
+    (1, np.zeros((5, 5)), "coefficient grid must be 3x3, got (5, 5)"),
+])
+def test_hand_built_stencil_bad_shape_rejected(radius, coeffs, message):
+    with pytest.raises(ValueError) as info:
+        Stencil(radius=radius, coeffs=coeffs)
+    assert str(info.value) == message
+
+
 def test_laplacian_baseline():
     s = laplacian_baseline()
     assert s.radius == 1
@@ -114,6 +124,9 @@ def test_monomial_response_cubics_zero():
 def test_monomial_degree_cap():
     with pytest.raises(ValueError):
         Monomial(4, 4)
+    with pytest.raises(ValueError) as info:
+        Monomial(-1, 0)
+    assert str(info.value) == "powers must be non-negative"
     Monomial(4, 3)  # degree 7 allowed
 
 
