@@ -5,9 +5,11 @@ coeff(p,q) * in(i+p, j+q), with i the column and j the row index.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -73,6 +75,39 @@ def default_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+@contextlib.contextmanager
+def _shares(items: Sequence, workers: int | None):
+    """Deal ``items`` into ``n = min(workers, len(items))`` interleaved shares
+    (``items[i::n]``) and yield ``run_shares``: ``run_shares(run)`` calls
+    ``run(share)`` once per share, share 0 on the calling thread and each
+    other share on one of ``n - 1`` pool threads, and returns once every
+    share is done, also when one raises. The calling thread's exception then
+    wins, and otherwise the lowest share's. One pool serves every call in the
+    block; it starts a thread only at a submit, so one worker starts none,
+    and leaving the block joins its threads. ``workers`` None means
+    ``default_workers()``.
+    """
+    if workers is None:
+        workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    n = min(workers, len(items))
+    shares = [items[i::n] for i in range(n)]
+
+    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
+        def run_shares(run) -> None:
+            helpers = [pool.submit(run, share) for share in shares[1:]]
+            try:
+                for share in shares[:1]:  # no share at all when there are no items
+                    run(share)
+            finally:
+                wait(helpers)
+            for fut in helpers:
+                fut.result()
+
+        yield run_shares
+
+
 def _refresh_halo(buf: np.ndarray, radius: int, rows: np.ndarray, cols: np.ndarray) -> None:
     """Rewrite the radius-wide halo of ``buf`` from its interior, as ``np.pad``
     would. ``rows``/``cols`` map each padded row/column to the buffer
@@ -105,20 +140,12 @@ def _sweeps(
     the last pass writes a fresh ``(h, w)`` array and every earlier pass
     writes the interior of the other of two padded buffers, after which
     only that buffer's halo is rewritten. A pass never writes a halo, so
-    ZERO's stays zero. Rows are split into bands of tile_height, dealt
-    into ``n = min(workers, tiles)`` interleaved shares: every pass, the
-    calling thread runs the first share while ``n - 1`` pool threads run one
-    other share each, so one worker starts no thread. Tiles read overlapping
+    ZERO's stays zero. Rows are split into bands of tile_height, and every
+    pass runs them through one ``_shares`` pool. Tiles read overlapping
     padded rows but write disjoint rows, so scheduling cannot change results.
-    A pass ends only once every share is done, even when one raises; the
-    calling thread's exception then wins over a pool thread's.
     """
     if tile_height < 1:
         raise ValueError(f"tile_height must be positive, got {tile_height}")
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     _check_dims(r, s, b)
     radius = s.radius
     h, w = r.shape
@@ -134,25 +161,18 @@ def _sweeps(
         rows = radius + np.pad(np.arange(h), radius, mode=mode)
         cols = radius + np.pad(np.arange(w), radius, mode=mode)
     tiles = [(r0, min(r0 + tile_height, h)) for r0 in range(0, h, tile_height)]
-    n = min(workers, len(tiles))
-    shares = [tiles[i::n] for i in range(n)]
 
-    def run(share, src, out):
+    def run(share):  # reads the src and out of the pass that calls it
         for row0, row1 in share:
             conv_rows(src, taps, radius, out, row0, row1, scaled_center)
 
-    # a pool starts a thread only at a submit; leaving the block waits for
-    # every submitted share, also when the calling thread's share raised
-    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
+    with _shares(tiles, workers) as run_shares:
         for done in range(1, passes + 1):
             if done == passes:
                 out = np.empty((h, w))
             else:
                 out = spare[radius : radius + h, radius : radius + w]
-            helpers = [pool.submit(run, share, src, out) for share in shares[1:]]
-            run(shares[0], src, out)
-            for fut in helpers:
-                fut.result()
+            run_shares(run)
             if done < passes:
                 if b is not Boundary.ZERO:
                     _refresh_halo(spare, radius, rows, cols)

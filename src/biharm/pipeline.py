@@ -4,12 +4,11 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _sweeps, convolve
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _shares, _sweeps, convolve
 from .raster import BandSet, Raster
 from .stencil import Stencil, jacobi_range
 
@@ -198,17 +197,25 @@ def compare_detectors(
     """``(detector_metrics(scores_a, ...), detector_metrics(scores_b, ...))``,
     the two computed at the same time.
 
-    ``scores_b`` is scored on one helper thread while the calling thread scores
-    ``scores_a``; numpy's sort, ``searchsorted`` and reductions release the
-    GIL, so the two overlap. Each call reads the shared rasters and writes only
-    its own temporaries, so the results are the bits of two serial calls. If
-    ``scores_a`` fails, its exception is raised once ``scores_b`` is done;
-    otherwise a failure of ``scores_b`` is raised.
+    The two maps are the items of ``convolve._shares`` with the default
+    workers: on two or more CPUs, ``scores_b`` is scored on one pool thread
+    while the calling thread scores ``scores_a``; numpy's sort,
+    ``searchsorted`` and reductions release the GIL, so the two overlap. Each
+    call reads the shared rasters and writes only its own temporaries, so the
+    results are the bits of two serial calls. If ``scores_a`` fails, its
+    exception is raised once ``scores_b`` is done; otherwise a failure of
+    ``scores_b`` is raised.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future_b = pool.submit(detector_metrics, scores_b, truth, k_sigma)
-        m_a = detector_metrics(scores_a, truth, k_sigma)
-        return m_a, future_b.result()
+    maps = (scores_a, scores_b)
+    metrics = [None, None]
+
+    def run(share):
+        for i in share:
+            metrics[i] = detector_metrics(maps[i], truth, k_sigma)
+
+    with _shares(range(2), None) as run_shares:
+        run_shares(run)
+    return metrics[0], metrics[1]
 
 
 @dataclass(frozen=True)
@@ -265,18 +272,31 @@ def fit_parallelepiped(b: BandSet, roi_labels: Raster) -> ClassModel:
     return ClassModel(band_count=len(b), intervals=intervals)
 
 
-def classify_parallelepiped(b: BandSet, m: ClassModel) -> Raster:
+def classify_parallelepiped(b: BandSet, m: ClassModel, workers: int | None = None) -> Raster:
     """Assign each pixel the lowest class id whose box contains it in every
-    band; 0 where no box matches."""
+    band; 0 where no box matches. Strips of ``DEFAULT_TILE_HEIGHT`` rows run
+    in ``workers`` shares (see ``convolve._shares``); each strip tests and
+    writes only its own rows, so the labels do not depend on the shares."""
     if len(b) != m.band_count:
         raise ValueError(f"band set has {len(b)} bands, model expects {m.band_count}")
-    labels = np.zeros((b.height, b.width))
-    for cid in m.class_ids():
-        box = np.asarray(m.intervals[cid], dtype=np.float64)
-        inside = np.ones((b.height, b.width), dtype=bool)
-        for bi, band in enumerate(b):
-            inside &= (band.data >= box[bi, 0]) & (band.data <= box[bi, 1])
-        labels[(labels == 0) & inside] = cid
+    h = b.height
+    labels = np.zeros((h, b.width))
+    boxes = [(cid, np.asarray(m.intervals[cid], dtype=np.float64)) for cid in m.class_ids()]
+
+    def run(share):
+        for row0 in share:
+            rows = slice(row0, row0 + DEFAULT_TILE_HEIGHT)
+            out = labels[rows]
+            for cid, box in boxes:
+                inside = out == 0
+                for bi, band in enumerate(b):
+                    strip = band.data[rows]
+                    inside &= strip >= box[bi, 0]
+                    inside &= strip <= box[bi, 1]
+                out[inside] = cid
+
+    with _shares(range(0, h, DEFAULT_TILE_HEIGHT), workers) as run_shares:
+        run_shares(run)
     return Raster._from_array(labels)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convolve import _shares
 from .raster import BandSet, Raster
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -52,30 +53,37 @@ def _uniform_run(seed: int, first: int, out: np.ndarray, words: np.ndarray) -> N
     np.multiply(w, 2.0 ** -53, out=out)
 
 
-def gaussian(seed: int, count: int) -> np.ndarray:
+def gaussian(seed: int, count: int, workers: int | None = None) -> np.ndarray:
     """count standard normal deviates via Box-Muller on the uniform stream:
     pair i takes its radius from stream word i + 1 and its angle from word
-    pairs + i + 1, and gives deviates i and pairs + i."""
+    pairs + i + 1, and gives deviates i and pairs + i. The blocks run in
+    ``workers`` shares (see ``convolve._shares``), each with its own block
+    buffers; every step is elementwise, so the bytes do not depend on them."""
     pairs = (count + 1) // 2
     z = np.empty(2 * pairs)
     size = min(pairs, _BLOCK)
-    words = np.empty(size, np.uint64)
-    radius_buf, theta_buf = np.empty(size), np.empty(size)
-    for a in range(0, pairs, _BLOCK):
-        b = min(a + _BLOCK, pairs)
-        radius, theta = radius_buf[: b - a], theta_buf[: b - a]
-        _uniform_run(seed, a, radius, words)
-        _uniform_run(seed, pairs + a, theta, words)
-        # radius = sqrt(-2 log1p(-u1)) and theta = 2 pi u2, each in place
-        np.negative(radius, out=radius)
-        np.log1p(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        theta *= 2.0 * np.pi
-        np.cos(theta, out=z[a:b])
-        np.sin(theta, out=z[pairs + a : pairs + b])
-        z[a:b] *= radius
-        z[pairs + a : pairs + b] *= radius
+
+    def run(share):
+        words = np.empty(size, np.uint64)
+        radius_buf, theta_buf = np.empty(size), np.empty(size)
+        for a in share:
+            b = min(a + _BLOCK, pairs)
+            radius, theta = radius_buf[: b - a], theta_buf[: b - a]
+            _uniform_run(seed, a, radius, words)
+            _uniform_run(seed, pairs + a, theta, words)
+            # radius = sqrt(-2 log1p(-u1)) and theta = 2 pi u2, each in place
+            np.negative(radius, out=radius)
+            np.log1p(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            theta *= 2.0 * np.pi
+            np.cos(theta, out=z[a:b])
+            np.sin(theta, out=z[pairs + a : pairs + b])
+            z[a:b] *= radius
+            z[pairs + a : pairs + b] *= radius
+
+    with _shares(range(0, pairs, _BLOCK), workers) as run_shares:
+        run_shares(run)
     return z[:count]
 
 
@@ -239,9 +247,10 @@ def _parse_anomaly(value: str):
     raise ValueError(f"unknown anomaly shape {kind!r}")
 
 
-def synth_scene(spec: SceneSpec):
+def synth_scene(spec: SceneSpec, workers: int | None = None):
     """Build (BandSet, truth mask): background + trend + noise, offsets added
-    inside anomaly footprints. Bit-identical for a fixed seed."""
+    inside anomaly footprints. Bit-identical for a fixed seed, whatever
+    ``workers`` makes each band's noise (see ``gaussian``)."""
     h, w = spec.height, spec.width
     yy, xx = np.ogrid[0:h, 0:w]
     # finite spec numbers can still overflow; the raster's finiteness check
@@ -255,7 +264,7 @@ def synth_scene(spec: SceneSpec):
             if spec.sigma > 0:
                 # base + sigma * noise in the noise's own array: IEEE + and *
                 # commute, so the bits are the same
-                band = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
+                band = gaussian(substream_seed(spec.seed, b), w * h, workers).reshape(h, w)
                 band *= spec.sigma
                 band += base
             else:

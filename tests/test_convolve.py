@@ -1,14 +1,17 @@
 import importlib
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from biharm import _kernels
-from biharm.convolve import Boundary, convolve, convolve_reference, default_workers
-from biharm.raster import Raster
+from biharm.convolve import Boundary, _shares, convolve, convolve_reference, default_workers
+from biharm.pipeline import ClassModel, classify_parallelepiped
+from biharm.raster import BandSet, Raster
+from biharm.scene import gaussian
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
 
 from conftest import assert_ulp_close, quad_loop_convolve
@@ -91,6 +94,20 @@ def test_one_worker_starts_no_thread(monkeypatch, rng):
     assert len(started) == 1  # the spy sees the one helper of two workers
 
 
+@pytest.mark.parametrize("call", [
+    lambda workers: gaussian(5, 3 * 2**16, workers),  # 3 blocks of pairs
+    lambda workers: classify_parallelepiped(  # 3 strips of 32 rows
+        BandSet([Raster.constant(5, 70, 1.0)]),
+        ClassModel(band_count=1, intervals={1: np.array([[0.0, 2.0]])}), workers).data,
+], ids=["gaussian", "classify"])
+def test_one_worker_starts_no_thread_in_noise_or_classify(monkeypatch, call):
+    started = _spy_thread_starts(monkeypatch)
+    want = call(1)
+    assert started == []
+    assert call(2).tobytes() == want.tobytes()
+    assert len(started) == 1
+
+
 class TileError(Exception):
     pass
 
@@ -127,6 +144,31 @@ def test_a_raising_tile_raises_once_every_share_is_done(monkeypatch, rng, raisin
         assert sorted(done) == [4, 12, 20, 28, 36]
     if 0 not in raising:
         assert sorted(done) == [0, 8, 16, 24, 32]
+
+
+@pytest.mark.parametrize("raising,message", [
+    ({0}, "item 0"),  # the calling thread's share
+    ({2}, "item 2"),  # a pool thread's share
+    ({1, 2}, "item 1"),  # two pool threads: the lowest share wins
+    ({0, 1, 2}, "item 0"),  # every share: the calling thread's exception wins
+])
+def test_shares_raise_once_every_share_is_done(raising, message):
+    done = []
+
+    def run(share):
+        for item in share:
+            if item in raising:
+                raise TileError(f"item {item}")
+            time.sleep(0.005)  # a share not waited for would still be running
+            done.append(item)
+
+    threads = threading.active_count()
+    with _shares(range(12), 3) as run_shares:  # shares 0::3, 1::3 and 2::3
+        with pytest.raises(TileError, match=message):
+            run_shares(run)
+        # every share that did not raise ran to its end before the call raised
+        assert sorted(done) == [i for i in range(12) if i % 3 not in raising]
+    assert threading.active_count() == threads  # the pool threads were joined
 
 
 def test_minimum_legal_mirror_size(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -617,6 +618,58 @@ def test_classify_box_membership_and_tiebreak():
     labels = classify_parallelepiped(bands, model).data
     # 5.0 sits in boxes 2 and 5 -> lowest id; 100.0 in none -> 0
     assert list(labels.ravel()) == [2.0, 0.0, 2.0]
+
+
+def _classify_whole_raster(b, m):
+    """The whole-raster loop the strips replaced: every class tests the full
+    bands, and the lowest id wins."""
+    labels = np.zeros((b.height, b.width))
+    for cid in m.class_ids():
+        box = np.asarray(m.intervals[cid], dtype=np.float64)
+        inside = np.ones((b.height, b.width), dtype=bool)
+        for bi, band in enumerate(b):
+            inside &= (band.data >= box[bi, 0]) & (band.data <= box[bi, 1])
+        labels[(labels == 0) & inside] = cid
+    return labels
+
+
+# 1, 31, 32 and 33 rows sit around one strip of 32 rows; 97 is 4 strips,
+# which 3 workers deal unevenly
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 97])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_classify_strips_match_the_whole_raster_loop(height, workers):
+    rng = np.random.default_rng(height)
+    # integer samples land on the box edges; the boxes overlap and their ids
+    # are not in key order, so the lowest id must win
+    bands = BandSet([Raster(rng.integers(0, 10, (height, 40)) * 1.0) for _ in range(3)])
+    model = ClassModel(band_count=3, intervals={
+        7: np.array([[2.0, 6.0], [0.0, 9.0], [3.0, 8.0]]),
+        3: np.array([[4.0, 9.0], [1.0, 7.0], [0.0, 5.0]]),
+        5: np.array([[0.0, 4.0], [2.0, 9.0], [0.0, 9.0]]),
+        1: np.array([[5.0, 5.0], [0.0, 9.0], [0.0, 9.0]]),
+    })
+    want = _classify_whole_raster(bands, model)
+    assert len(np.unique(want)) == 5  # every class and the unlabeled 0
+    got = classify_parallelepiped(bands, model, workers).data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_classify_memory_budget():
+    # strips keep the box tests' temporaries a few rows tall: the label
+    # raster plus its finiteness check, where full-raster bool temporaries
+    # added about 3 MiB on top
+    size = 1024
+    rng = np.random.default_rng(8)
+    bands = BandSet([Raster(rng.normal(100.0, 10.0, (size, size))) for _ in range(8)])
+    model = ClassModel(band_count=8, intervals={
+        cid: np.tile([90.0 - cid, 110.0 + cid], (8, 1)) for cid in (1, 2, 3)})
+    tracemalloc.start()
+    try:
+        classify_parallelepiped(bands, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * size * size * 8
 
 
 def test_classify_band_count_mismatch():

@@ -127,6 +127,14 @@ def test_gaussian_stream_bytes_pinned():
             for n in GAUSSIAN_DIGESTS} == GAUSSIAN_DIGESTS
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_gaussian_bytes_do_not_depend_on_workers(workers):
+    # 196613 deviates are 4 blocks of pairs, which 3 workers deal unevenly
+    assert {n: hashlib.sha256(gaussian(12345, n, workers).tobytes()).hexdigest()
+            for n in GAUSSIAN_DIGESTS} == GAUSSIAN_DIGESTS
+    assert gaussian(12345, 0, workers).shape == (0,)  # no block, so no share
+
+
 # SHA-256 of every band's and the truth's float64 bytes, recorded with the
 # full-raster footprints; the bounding-box footprints must reproduce them
 PINNED_SPEC = SceneSpec(
@@ -149,6 +157,13 @@ PINNED_DIGESTS = [
 
 def test_synth_scene_bytes_pinned():
     bands, truth = synth_scene(PINNED_SPEC)
+    rasters = [*bands, truth]
+    assert [hashlib.sha256(r.data.tobytes()).hexdigest() for r in rasters] == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_synth_scene_bytes_do_not_depend_on_workers(workers):
+    bands, truth = synth_scene(PINNED_SPEC, workers)
     rasters = [*bands, truth]
     assert [hashlib.sha256(r.data.tobytes()).hexdigest() for r in rasters] == PINNED_DIGESTS
 
