@@ -203,8 +203,9 @@ def compare_detectors(
     ``searchsorted`` and reductions release the GIL, so the two overlap. Each
     call reads the shared rasters and writes only its own temporaries, so the
     results are the bits of two serial calls. If ``scores_a`` fails, its
-    exception is raised once ``scores_b`` is done; otherwise a failure of
-    ``scores_b`` is raised.
+    exception wins: on two or more CPUs it is raised once ``scores_b`` is
+    done, and on one CPU ``scores_b`` is not scored at all. Otherwise a
+    failure of ``scores_b`` is raised.
     """
     maps = (scores_a, scores_b)
     metrics = [None, None]
@@ -272,10 +273,10 @@ def fit_parallelepiped(b: BandSet, roi_labels: Raster) -> ClassModel:
     return ClassModel(band_count=len(b), intervals=intervals)
 
 
-def classify_parallelepiped(b: BandSet, m: ClassModel, workers: int | None = None) -> Raster:
+def classify_parallelepiped(b: BandSet, m: ClassModel) -> Raster:
     """Assign each pixel the lowest class id whose box contains it in every
     band; 0 where no box matches. Strips of ``DEFAULT_TILE_HEIGHT`` rows run
-    in ``workers`` shares (see ``convolve._shares``); each strip tests and
+    in ``convolve._shares`` with the default workers; each strip tests and
     writes only its own rows, so the labels do not depend on the shares."""
     if len(b) != m.band_count:
         raise ValueError(f"band set has {len(b)} bands, model expects {m.band_count}")
@@ -295,7 +296,7 @@ def classify_parallelepiped(b: BandSet, m: ClassModel, workers: int | None = Non
                     inside &= strip <= box[bi, 1]
                 out[inside] = cid
 
-    with _shares(range(0, h, DEFAULT_TILE_HEIGHT), workers) as run_shares:
+    with _shares(range(0, h, DEFAULT_TILE_HEIGHT), None) as run_shares:
         run_shares(run)
     return Raster._from_array(labels)
 

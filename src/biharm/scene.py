@@ -53,12 +53,13 @@ def _uniform_run(seed: int, first: int, out: np.ndarray, words: np.ndarray) -> N
     np.multiply(w, 2.0 ** -53, out=out)
 
 
-def gaussian(seed: int, count: int, workers: int | None = None) -> np.ndarray:
+def gaussian(seed: int, count: int) -> np.ndarray:
     """count standard normal deviates via Box-Muller on the uniform stream:
     pair i takes its radius from stream word i + 1 and its angle from word
     pairs + i + 1, and gives deviates i and pairs + i. The blocks run in
-    ``workers`` shares (see ``convolve._shares``), each with its own block
-    buffers; every step is elementwise, so the bytes do not depend on them."""
+    ``convolve._shares`` with the default workers, each share with its own
+    block buffers; every step is elementwise, so the bytes do not depend on
+    the shares."""
     pairs = (count + 1) // 2
     z = np.empty(2 * pairs)
     size = min(pairs, _BLOCK)
@@ -82,7 +83,7 @@ def gaussian(seed: int, count: int, workers: int | None = None) -> np.ndarray:
             z[a:b] *= radius
             z[pairs + a : pairs + b] *= radius
 
-    with _shares(range(0, pairs, _BLOCK), workers) as run_shares:
+    with _shares(range(0, pairs, _BLOCK), None) as run_shares:
         run_shares(run)
     return z[:count]
 
@@ -247,10 +248,10 @@ def _parse_anomaly(value: str):
     raise ValueError(f"unknown anomaly shape {kind!r}")
 
 
-def synth_scene(spec: SceneSpec, workers: int | None = None):
+def synth_scene(spec: SceneSpec):
     """Build (BandSet, truth mask): background + trend + noise, offsets added
-    inside anomaly footprints. Bit-identical for a fixed seed, whatever
-    ``workers`` makes each band's noise (see ``gaussian``)."""
+    inside anomaly footprints. Bit-identical for a fixed seed, whatever the
+    worker count (see ``gaussian``)."""
     h, w = spec.height, spec.width
     yy, xx = np.ogrid[0:h, 0:w]
     # finite spec numbers can still overflow; the raster's finiteness check
@@ -264,7 +265,7 @@ def synth_scene(spec: SceneSpec, workers: int | None = None):
             if spec.sigma > 0:
                 # base + sigma * noise in the noise's own array: IEEE + and *
                 # commute, so the bits are the same
-                band = gaussian(substream_seed(spec.seed, b), w * h, workers).reshape(h, w)
+                band = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
                 band *= spec.sigma
                 band += base
             else:

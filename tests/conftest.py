@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,11 @@ def assert_ulp_close(a: np.ndarray, b: np.ndarray, ulps: int = 4, scale=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+def set_default_workers(monkeypatch, workers: int) -> None:
+    """Make ``default_workers()`` return ``workers``: the share scheduler
+    looks it up at each call, so the noise and the classifier use it too."""
+    # the module, which the package's ``convolve`` function shadows
+    module = importlib.import_module("biharm.convolve")
+    monkeypatch.setattr(module, "default_workers", lambda: workers)

@@ -14,7 +14,7 @@ from biharm.raster import BandSet, Raster
 from biharm.scene import gaussian
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
 
-from conftest import assert_ulp_close, quad_loop_convolve
+from conftest import assert_ulp_close, quad_loop_convolve, set_default_workers
 
 ALL_POLICIES = list(Boundary)
 # the module, which the package's ``convolve`` function shadows as an attribute
@@ -95,16 +95,18 @@ def test_one_worker_starts_no_thread(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("call", [
-    lambda workers: gaussian(5, 3 * 2**16, workers),  # 3 blocks of pairs
-    lambda workers: classify_parallelepiped(  # 3 strips of 32 rows
+    lambda: gaussian(5, 3 * 2**16),  # 3 blocks of pairs
+    lambda: classify_parallelepiped(  # 3 strips of 32 rows
         BandSet([Raster.constant(5, 70, 1.0)]),
-        ClassModel(band_count=1, intervals={1: np.array([[0.0, 2.0]])}), workers).data,
+        ClassModel(band_count=1, intervals={1: np.array([[0.0, 2.0]])})).data,
 ], ids=["gaussian", "classify"])
 def test_one_worker_starts_no_thread_in_noise_or_classify(monkeypatch, call):
     started = _spy_thread_starts(monkeypatch)
-    want = call(1)
+    set_default_workers(monkeypatch, 1)
+    want = call()
     assert started == []
-    assert call(2).tobytes() == want.tobytes()
+    set_default_workers(monkeypatch, 2)
+    assert call().tobytes() == want.tobytes()
     assert len(started) == 1
 
 

@@ -35,7 +35,7 @@ from biharm.stencil import (
     symbol_range,
 )
 
-from conftest import assert_ulp_close
+from conftest import assert_ulp_close, set_default_workers
 
 BH = biharmonic_stencil(1.0, 1.0)
 
@@ -637,7 +637,8 @@ def _classify_whole_raster(b, m):
 # which 3 workers deal unevenly
 @pytest.mark.parametrize("height", [1, 31, 32, 33, 97])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_classify_strips_match_the_whole_raster_loop(height, workers):
+def test_classify_strips_match_the_whole_raster_loop(monkeypatch, height, workers):
+    set_default_workers(monkeypatch, workers)
     rng = np.random.default_rng(height)
     # integer samples land on the box edges; the boxes overlap and their ids
     # are not in key order, so the lowest id must win
@@ -650,7 +651,7 @@ def test_classify_strips_match_the_whole_raster_loop(height, workers):
     })
     want = _classify_whole_raster(bands, model)
     assert len(np.unique(want)) == 5  # every class and the unlabeled 0
-    got = classify_parallelepiped(bands, model, workers).data
+    got = classify_parallelepiped(bands, model).data
     assert got.tobytes() == want.tobytes()
 
 

@@ -16,6 +16,8 @@ from biharm.scene import (
     synth_scene,
 )
 
+from conftest import set_default_workers
+
 
 def test_degenerate_constant_scene():
     bands, truth = synth_scene(SceneSpec(width=8, height=6, level=100.0))
@@ -128,11 +130,12 @@ def test_gaussian_stream_bytes_pinned():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_gaussian_bytes_do_not_depend_on_workers(workers):
+def test_gaussian_bytes_do_not_depend_on_workers(monkeypatch, workers):
+    set_default_workers(monkeypatch, workers)
     # 196613 deviates are 4 blocks of pairs, which 3 workers deal unevenly
-    assert {n: hashlib.sha256(gaussian(12345, n, workers).tobytes()).hexdigest()
+    assert {n: hashlib.sha256(gaussian(12345, n).tobytes()).hexdigest()
             for n in GAUSSIAN_DIGESTS} == GAUSSIAN_DIGESTS
-    assert gaussian(12345, 0, workers).shape == (0,)  # no block, so no share
+    assert gaussian(12345, 0).shape == (0,)  # no block, so no share
 
 
 # SHA-256 of every band's and the truth's float64 bytes, recorded with the
@@ -162,8 +165,9 @@ def test_synth_scene_bytes_pinned():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_synth_scene_bytes_do_not_depend_on_workers(workers):
-    bands, truth = synth_scene(PINNED_SPEC, workers)
+def test_synth_scene_bytes_do_not_depend_on_workers(monkeypatch, workers):
+    set_default_workers(monkeypatch, workers)
+    bands, truth = synth_scene(PINNED_SPEC)
     rasters = [*bands, truth]
     assert [hashlib.sha256(r.data.tobytes()).hexdigest() for r in rasters] == PINNED_DIGESTS
 
