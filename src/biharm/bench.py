@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import time
 
-from .convolve import DEFAULT_TILE_HEIGHT, Boundary, convolve, convolve_reference
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary, convolve, convolve_reference, default_workers
 from .raster import Raster
 from .scene import gaussian
 from .stencil import biharmonic_stencil
@@ -22,10 +22,11 @@ def run_benchmark(
     width: int = 2048,
     height: int = 2048,
     iters: int = 3,
-    workers: int = 4,
+    workers: int | None = None,
     tile_height: int = DEFAULT_TILE_HEIGHT,
 ) -> dict:
     """Returns pixels/second for each engine; outputs are checked identical."""
+    workers = default_workers() if workers is None else workers
     stencil = biharmonic_stencil(1.0, 1.0)
     data = 100.0 + 10.0 * gaussian(1234, width * height).reshape(height, width)
     raster = Raster._from_array(data)

@@ -245,7 +245,7 @@ def _cmd_synth(args):
 
 def _cmd_bench(args):
     w, h = args.size
-    results = bench_mod.run_benchmark(w, h, args.iters, args.workers, args.tile_height)
+    results = bench_mod.run_benchmark(w, h, args.iters, args.workers)
     for key, value in results.items():
         print(f"{key}={value}")
     return 0
@@ -276,10 +276,10 @@ _size = _checked(lambda text: [int(v) for v in text.lower().split("x")],
 
 
 def _add_engine_flags(p):
-    p.add_argument("--boundary", default="mirror",
-                   choices=["mirror", "replicate", "zero", "wrap"])
-    p.add_argument("--tile-height", type=_positive_int, default=DEFAULT_TILE_HEIGHT)
+    p.add_argument("--boundary", default="mirror", choices=[b.value for b in Boundary])
     p.add_argument("--workers", type=_positive_int, default=None)
+    # not an option: the handlers and perfbench read the default height here
+    p.set_defaults(tile_height=DEFAULT_TILE_HEIGHT)
 
 
 def _add_stencil_flags(p):
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="per-band anomaly score maps")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.add_argument("--mode", default="residual", choices=["residual", "highpass"])
+    p.add_argument("--mode", default="residual", choices=[m.value for m in MapMode])
     p.add_argument("--sigma-k", type=_sigma_k, default=3.0)
     p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--mask-out", help="write union threshold mask as PGM")
@@ -352,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="reference vs tiled engine throughput")
     p.add_argument("--size", type=_size, default="2048x2048")
     p.add_argument("--iters", type=_positive_int, default=3)
-    p.add_argument("--workers", type=_positive_int, default=4)
-    p.add_argument("--tile-height", type=_positive_int, default=DEFAULT_TILE_HEIGHT)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import tracemalloc
@@ -12,9 +13,21 @@ from biharm import pipeline as pipeline_mod
 from biharm.cli import _metrics_lines, run
 from biharm.convolve import DEFAULT_TILE_HEIGHT, Boundary
 from biharm.formats import load_bandset, load_pgm, save_bandset, save_pgm
-from biharm.pipeline import anomaly_highpass, anomaly_residual, detector_metrics, smooth_jacobi
+from biharm.pipeline import (
+    MapMode,
+    anomaly_highpass,
+    anomaly_residual,
+    classify_parallelepiped,
+    detector_metrics,
+    fit_parallelepiped,
+    overall_accuracy,
+    smooth_jacobi,
+    threshold_mask,
+)
 from biharm.raster import BandSet, Raster
+from biharm.scene import parse_scene_spec, synth_scene
 from biharm.stencil import biharmonic_stencil, jacobi_range, laplacian_baseline
+from conftest import set_default_workers
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -95,15 +108,15 @@ def test_usage_errors_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["smooth", "--iters", "0"],
     ["smooth", "--workers", "0"],
-    ["smooth", "--tile-height", "x"],
-    ["detect", "--tile-height", "0"],
+    ["smooth", "--workers", "x"],
+    ["detect", "--iters", "0"],
     ["detect", "--workers", "-5"],
     ["compare", "--iters", "0"],
     ["compare", "--band", "-1"],
     ["compare", "--band", "3"],
     ["bench", "--iters", "0"],
     ["bench", "--workers", "0"],
-    ["bench", "--tile-height", "0"],
+    ["compare", "--workers", "0"],
     ["bench", "--size", "2048"],
     ["bench", "--size", "0x64"],
     ["bench", "--size", "axb"],
@@ -122,6 +135,37 @@ def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
     assert run(argv[:1] + io[argv[0]] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert "error" in err and argv[1] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["smooth", "detect", "compare", "bench"])
+def test_tile_height_is_not_an_option(command, tmp_path, capsys):
+    # the engine always tiles at DEFAULT_TILE_HEIGHT; the library keeps the
+    # parameter
+    src, truth, out = tmp_path / "in.bfr", tmp_path / "truth.pgm", tmp_path / "o.bfr"
+    save_bandset(BandSet([Raster.constant(16, 16, 80.0)]), src)
+    save_pgm(Raster(np.zeros((16, 16))), truth, 255)
+    io = {
+        "smooth": ["--in", str(src), "--out", str(out)],
+        "detect": ["--in", str(src), "--out", str(out)],
+        "compare": ["--in", str(src), "--truth", str(truth)],
+        "bench": ["--size", "64x64", "--iters", "1"],
+    }
+    capsys.readouterr()
+    assert run([command, *io[command], "--tile-height", "32"]) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err and "--tile-height" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--in", "a", "--out", "b"],
+    ["detect", "--in", "a", "--out", "b"],
+    ["compare", "--in", "a", "--truth", "t"],
+])
+def test_engine_commands_parse_the_default_tile_height(argv):
+    # the handlers, and perfbench, read the height from the parsed namespace
+    assert cli_mod.build_parser().parse_args(argv).tile_height == DEFAULT_TILE_HEIGHT
 
 
 @pytest.mark.parametrize("command", ["detect", "compare"])
@@ -303,7 +347,7 @@ def test_workers_do_not_change_output_bytes(tmp_path):
     for workers in ("1", "4"):
         out = tmp_path / f"scores_{workers}.bfr"
         assert run(["detect", "--in", str(src), "--out", str(out),
-                    "--workers", workers, "--tile-height", "16"]) == 0
+                    "--workers", workers]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -354,7 +398,13 @@ def _serial_compare_report(scene, truth, band_index, boundary, iters, workers, s
     return "".join(f"{k}={v}\n" for k, v in lines)
 
 
-@pytest.mark.parametrize("boundary", ["mirror", "wrap"])
+# The CLI = library contracts: each command's outputs, run through ``cli.run``
+# on a small seeded scene, equal byte for byte those of the library calls
+# composed in the test.
+BOUNDARIES = [b.value for b in Boundary]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("iters", [1, 3])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("sigma_k", [3.0, 1.5])
@@ -363,7 +413,7 @@ def test_compare_report_equals_serial_library(boundary, iters, workers, sigma_k,
     scene, truth = fixture_scene
     band = iters - 1  # bands 0 and 2
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
         expected = _serial_compare_report(scene, truth, band, boundary, iters, workers,
                                           sigma_k)
         capsys.readouterr()
@@ -371,6 +421,101 @@ def test_compare_report_equals_serial_library(boundary, iters, workers, sigma_k,
                     "--boundary", boundary, "--iters", str(iters),
                     "--workers", str(workers), "--sigma-k", str(sigma_k)]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("iters", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_smooth_output_equals_library(boundary, iters, workers, fixture_scene, tmp_path):
+    scene, _ = fixture_scene
+    out, want = tmp_path / "out.bfr", tmp_path / "want.bfr"
+    stencil = biharmonic_stencil(1.0, 2.0)  # lx != ly: a swap of the two shows
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+        bands = load_bandset(scene)
+        smoothed = [smooth_jacobi(band, stencil, iters, Boundary(boundary),
+                                  DEFAULT_TILE_HEIGHT, workers) for band in bands]
+        save_bandset(BandSet(smoothed, bands.band_names), want)
+        assert run(["smooth", "--in", scene, "--out", str(out), "--lx", "1", "--ly", "2",
+                    "--iters", str(iters), "--boundary", boundary,
+                    "--workers", str(workers)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [m.value for m in MapMode])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("iters", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_detect_outputs_equal_library(mode, boundary, iters, workers, fixture_scene,
+                                      tmp_path):
+    scene, _ = fixture_scene
+    out, mask = tmp_path / "scores.bfr", tmp_path / "mask.pgm"
+    want, want_mask = tmp_path / "want.bfr", tmp_path / "want_mask.pgm"
+    stencil, b, sigma_k = biharmonic_stencil(1.0, 2.0), Boundary(boundary), 2.5
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+        bands = load_bandset(scene)
+        maps = []
+        for band, name in zip(bands, bands.band_names):
+            if mode == "residual":
+                smoothed = smooth_jacobi(band, stencil, iters, b, DEFAULT_TILE_HEIGHT, workers)
+                maps.append(anomaly_residual(band, smoothed, name))
+            else:
+                maps.append(anomaly_highpass(band, stencil, b, name,
+                                             DEFAULT_TILE_HEIGHT, workers))
+        save_bandset(BandSet([m.scores for m in maps], bands.band_names), want)
+        union = np.maximum.reduce([threshold_mask(m, sigma_k).data for m in maps])
+        save_pgm(Raster(union * 255.0), want_mask, 255)
+        assert run(["detect", "--in", scene, "--out", str(out), "--mask-out", str(mask),
+                    "--mode", mode, "--lx", "1", "--ly", "2", "--sigma-k", str(sigma_k),
+                    "--iters", str(iters), "--boundary", boundary,
+                    "--workers", str(workers)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert mask.read_bytes() == want_mask.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synth_outputs_equal_library(seed, workers, tmp_path, monkeypatch):
+    set_default_workers(monkeypatch, workers)
+    spec_path = os.path.join(FIXTURES, "compare_scene.txt")
+    out, truth_out = tmp_path / "scene.bfr", tmp_path / "truth.pgm"
+    want, want_truth = tmp_path / "want.bfr", tmp_path / "want_truth.pgm"
+    with open(spec_path) as fh:
+        spec = parse_scene_spec(fh.read())
+    if seed is not None:
+        spec = dataclasses.replace(spec, seed=seed)
+    bands, truth = synth_scene(spec)
+    save_bandset(bands, want)
+    save_pgm(Raster((truth.data != 0.0) * 255.0), want_truth, 255)
+    seed_flag = [] if seed is None else ["--seed", str(seed)]
+    assert run(["synth", "--spec", spec_path, "--out", str(out),
+                "--truth-out", str(truth_out), *seed_flag]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert truth_out.read_bytes() == want_truth.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_classify_outputs_equal_library(workers, fixture_scene, tmp_path, monkeypatch,
+                                        capsys):
+    set_default_workers(monkeypatch, workers)
+    scene, truth = fixture_scene
+    anomalous = load_pgm(truth).data != 0.0
+    roi_labels = np.where(anomalous, 2.0, 0.0)
+    roi_labels[:10] = 1.0  # background rows, clear of both anomalies
+    roi, reference = tmp_path / "roi.pgm", tmp_path / "reference.pgm"
+    save_pgm(Raster(roi_labels), roi, 255)
+    save_pgm(Raster(np.where(anomalous, 2.0, 1.0)), reference, 255)
+    out, want = tmp_path / "labels.pgm", tmp_path / "want.pgm"
+    bands = load_bandset(scene)
+    labels = classify_parallelepiped(bands, fit_parallelepiped(bands, load_pgm(roi)))
+    save_pgm(labels, want, 255)
+    accuracy = overall_accuracy(labels, load_pgm(reference))
+    capsys.readouterr()
+    assert run(["classify", "--in", scene, "--roi", str(roi), "--out", str(out),
+                "--truth", str(reference)]) == 0
+    assert capsys.readouterr().out == f"overall_accuracy={accuracy!r}\n"
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_compare_truth_of_wrong_size_exit_1(fixture_scene, tmp_path, capsys):
@@ -587,6 +732,12 @@ def test_bench_small(capsys):
     assert report["bit_identical"] == "True"
     assert float(report["reference_pps"]) > 0
     assert float(report["tiled_pps"]) > 0
+
+
+def test_bench_workers_default_to_the_cpus_the_process_may_run_on(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run(["bench", "--size", "64x64", "--iters", "1"]) == 0
+    assert read_report(capsys.readouterr().out)["workers"] == "1"
 
 
 def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
