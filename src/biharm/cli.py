@@ -34,7 +34,7 @@ from .pipeline import (
 )
 from .raster import BandSet, Raster
 from .scene import parse_scene_spec, synth_scene
-from .stencil import biharmonic_stencil, laplacian_baseline, validate_stencil
+from .stencil import biharmonic_stencil, laplacian_baseline, omega_auto, validate_stencil
 
 
 def _load_input(path, band=None) -> BandSet:
@@ -111,15 +111,12 @@ def _metrics_lines(prefix, m):
 
 
 def _validation_lines(s):
-    """``validate_stencil``'s report, plus two Jacobi dampings from the
-    Fourier symbol A: the stability bound ``2 center / max A``, above which
-    the highest frequency grows, and ``center / max A``, which damps it to 0."""
     report = validate_stencil(s)
-    center, (a_min, a_max) = s.coeff(0, 0), report.symbol_range
+    (a_min, a_max), omega = report.symbol_range, omega_auto(s)
     lines = [
         ("lx", repr(s.lx)),
         ("ly", repr(s.ly)),
-        ("center", repr(center)),
+        ("center", repr(s.coeff(0, 0))),
         ("passed", report.passed),
         ("zero_sum_residual", repr(report.zero_sum_residual)),
         ("max_symmetry_violation", repr(report.max_symmetry_violation)),
@@ -127,8 +124,8 @@ def _validation_lines(s):
         ("symbol_max", repr(a_max)),
         ("jacobi_min", repr(report.jacobi_range[0])),
         ("jacobi_max", repr(report.jacobi_range[1])),
-        ("stability_bound", repr(2.0 * center / a_max)),
-        ("omega_auto", repr(center / a_max)),
+        ("stability_bound", repr(2.0 * omega)),
+        ("omega_auto", repr(omega)),
     ]
     lines += [(f"response_x{u}y{v}", repr(value))
               for (u, v), value in report.monomial_responses.items()]
@@ -199,6 +196,8 @@ def _cmd_compare(args):
     band, name = bands[0], bands.band_names[0]
     del bands  # leaves ``band`` the only reference, freed below
     truth = _load_single(args.truth, "--truth")  # non-zero is anomalous
+    if truth.shape != band.shape:
+        raise ValueError(f"shape mismatch: {band.shape} vs {truth.shape}")
     residual_map = _band_map(args, MapMode.RESIDUAL,
                              biharmonic_stencil(args.lx, args.ly), band, name)
     baseline_map = _band_map(args, MapMode.HIGHPASS, laplacian_baseline(), band, name)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _shares, _sweeps, convolve
 from .raster import BandSet, Raster
-from .stencil import Stencil, jacobi_range
+from .stencil import Stencil, jacobi_range, omega_auto
 
 
 class MapMode(enum.Enum):
@@ -44,7 +44,7 @@ def smooth_jacobi(
     of these factors. Repeated sweeps are stable only while it lies in
     [-1, 1]: for the unit biharmonic template, for ``omega < 0.625``, while
     plain Jacobi (``omega = 1``) multiplies its Nyquist mode by -2.2 per
-    sweep; ``omega = center / max A`` puts it in [0, 1]. A ``RuntimeWarning``
+    sweep; ``omega_auto(s)`` puts it in [0, 1]. A ``RuntimeWarning``
     is emitted when ``iterations > 1`` and the range leaves [-1, 1].
     """
     if iterations < 1:
@@ -63,7 +63,7 @@ def smooth_jacobi(
             growth = f"a frequency by {greatest:g} (no omega > 0 is stable)"
         elif least < -1.0:
             growth = (f"the highest frequency by {least:g} "
-                      f"(stable for omega < {2.0 * omega / (1.0 - least):g})")
+                      f"(stable for omega < {2.0 * omega_auto(s):g})")
         if growth:
             warnings.warn(
                 f"Jacobi iteration diverges: each of the {iterations} sweeps with "

@@ -157,6 +157,18 @@ def jacobi_range(s: Stencil, omega: float = 1.0) -> tuple[float, float]:
     return tuple(sorted(1.0 - omega * a / center for a in symbol_range(s)))
 
 
+def omega_auto(s: Stencil) -> float:
+    """The Jacobi damping center / A*, with A* the max A of ``symbol_range``
+    for a positive center and its min A for a negative one: it puts the least
+    factor of ``jacobi_range`` at 0, and ``2 * omega_auto(s)`` is the
+    stability bound, at which that factor is -1. NaN for a zero center."""
+    center = s.coeff(0, 0)
+    if center == 0.0:
+        return float("nan")
+    a_min, a_max = symbol_range(s)
+    return center / (a_max if center > 0.0 else a_min)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """``symbol_range`` is (min A, max A) of the Fourier symbol and

@@ -83,7 +83,11 @@ def test_stencil_output_without_validate_is_unchanged(capsys):
       "jacobi_min": "-0.5", "stability_bound": repr(4 / 3), "omega_auto": repr(2 / 3)}),
     (["--lx", "0.5", "--ly", "2"], biharmonic_stencil(0.5, 2.0),
      {"lx": "0.5", "ly": "2.0", "center": "104.375", "passed": "True",
-      "symbol_max": "289.0"}),
+      "symbol_max": "289.0", "stability_bound": "0.722318339100346",
+      "omega_auto": "0.361159169550173"}),
+    (["--lx", "1.307", "--ly", "0.477"], biharmonic_stencil(1.307, 0.477),
+     {"lx": "1.307", "ly": "0.477", "passed": "True",
+      "stability_bound": "0.6981382893337711", "omega_auto": "0.34906914466688554"}),
 ])
 def test_stencil_validate_report(capsys, argv, stencil, expected):
     assert run(["stencil", "--validate", *argv]) == 0
@@ -527,6 +531,23 @@ def test_compare_truth_of_wrong_size_exit_1(fixture_scene, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("biharm: error: ") and "shape mismatch" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_compare_truth_of_wrong_shape_exit_1_before_any_sweep(tmp_path, capsys,
+                                                              monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a band was processed")
+
+    monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
+    monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
+    scene, truth = tmp_path / "scene.bfr", tmp_path / "truth.pgm"
+    save_bandset(BandSet([Raster(rng.normal(100, 10, (48, 64)))]), scene)
+    save_pgm(Raster(np.zeros((64, 48))), truth, 255)
+    capsys.readouterr()
+    assert run(["compare", "--in", str(scene), "--truth", str(truth), "--iters", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "biharm: error: shape mismatch: (48, 64) vs (64, 48)\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("source,band,count", [

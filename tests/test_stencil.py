@@ -10,6 +10,7 @@ from biharm.stencil import (
     jacobi_range,
     laplacian_baseline,
     monomial_response,
+    omega_auto,
     validate_stencil,
 )
 
@@ -167,6 +168,32 @@ def test_jacobi_range_of_damped_sweeps(coeffs, omega, expected):
     s = Stencil(radius=len(coeffs) // 2, coeffs=coeffs)
     assert jacobi_range(s, omega) == pytest.approx(expected, rel=1e-12, abs=1e-15)
     assert validate_stencil(s).jacobi_range == jacobi_range(s, 1.0)
+
+
+@pytest.mark.parametrize("s,expected", [
+    (biharmonic_stencil(1.0, 1.0), 0.3125),
+    (laplacian_baseline(), 2.0 / 3.0),
+    # negated, center and symbol change sign: the same damping
+    (Stencil(radius=2, coeffs=-TEMPLATE_UNIT), 0.3125),
+])
+def test_omega_auto(s, expected):
+    assert omega_auto(s) == expected
+
+
+def test_omega_auto_zero_center():
+    assert np.isnan(omega_auto(Stencil(radius=1, coeffs=np.zeros((3, 3)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(increments, increments, st.sampled_from([1.0, -1.0]))
+def test_omega_auto_damps_the_highest_frequency_to_0(lx, ly, sign):
+    s = biharmonic_stencil(lx, ly)
+    s = Stencil(radius=2, coeffs=sign * s.coeffs, lx=lx, ly=ly)
+    least, greatest = jacobi_range(s, omega_auto(s))
+    assert least == pytest.approx(0.0, abs=1e-12)
+    assert greatest == pytest.approx(1.0, abs=1e-12)
+    # twice that damping is the stability bound
+    assert jacobi_range(s, 2.0 * omega_auto(s))[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
