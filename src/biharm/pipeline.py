@@ -197,15 +197,11 @@ def compare_detectors(
     """``(detector_metrics(scores_a, ...), detector_metrics(scores_b, ...))``,
     the two computed at the same time.
 
-    The two maps are the items of ``convolve._shares`` with the default
-    workers: on two or more CPUs, ``scores_b`` is scored on one pool thread
-    while the calling thread scores ``scores_a``; numpy's sort,
+    ``convolve._shares`` scores ``scores_a`` on the calling thread and, on
+    two or more default workers, ``scores_b`` on a pool thread; numpy's sort,
     ``searchsorted`` and reductions release the GIL, so the two overlap. Each
-    call reads the shared rasters and writes only its own temporaries, so the
-    results are the bits of two serial calls. If ``scores_a`` fails, its
-    exception wins: on two or more CPUs it is raised once ``scores_b`` is
-    done, and on one CPU ``scores_b`` is not scored at all. Otherwise a
-    failure of ``scores_b`` is raised.
+    writes only its own temporaries, so the results are the bits of two
+    serial calls. A failure of ``scores_a`` wins over one of ``scores_b``.
     """
     maps = (scores_a, scores_b)
     metrics = [None, None]
@@ -214,8 +210,7 @@ def compare_detectors(
         for i in share:
             metrics[i] = detector_metrics(maps[i], truth, k_sigma)
 
-    with _shares(range(2), None) as run_shares:
-        run_shares(run)
+    _shares(range(2), run)
     return metrics[0], metrics[1]
 
 
@@ -275,29 +270,22 @@ def fit_parallelepiped(b: BandSet, roi_labels: Raster) -> ClassModel:
 
 def classify_parallelepiped(b: BandSet, m: ClassModel) -> Raster:
     """Assign each pixel the lowest class id whose box contains it in every
-    band; 0 where no box matches. Strips of ``DEFAULT_TILE_HEIGHT`` rows run
-    in ``convolve._shares`` with the default workers; each strip tests and
-    writes only its own rows, so the labels do not depend on the shares."""
+    band; 0 where no box matches. The boxes are tested on strips of
+    ``DEFAULT_TILE_HEIGHT`` rows, so their temporaries stay a few rows tall."""
     if len(b) != m.band_count:
         raise ValueError(f"band set has {len(b)} bands, model expects {m.band_count}")
-    h = b.height
-    labels = np.zeros((h, b.width))
+    labels = np.zeros((b.height, b.width))
     boxes = [(cid, np.asarray(m.intervals[cid], dtype=np.float64)) for cid in m.class_ids()]
-
-    def run(share):
-        for row0 in share:
-            rows = slice(row0, row0 + DEFAULT_TILE_HEIGHT)
-            out = labels[rows]
-            for cid, box in boxes:
-                inside = out == 0
-                for bi, band in enumerate(b):
-                    strip = band.data[rows]
-                    inside &= strip >= box[bi, 0]
-                    inside &= strip <= box[bi, 1]
-                out[inside] = cid
-
-    with _shares(range(0, h, DEFAULT_TILE_HEIGHT), None) as run_shares:
-        run_shares(run)
+    for row0 in range(0, b.height, DEFAULT_TILE_HEIGHT):
+        rows = slice(row0, row0 + DEFAULT_TILE_HEIGHT)
+        out = labels[rows]
+        for cid, box in boxes:
+            inside = out == 0
+            for bi, band in enumerate(b):
+                strip = band.data[rows]
+                inside &= strip >= box[bi, 0]
+                inside &= strip <= box[bi, 1]
+            out[inside] = cid
     return Raster._from_array(labels)
 
 

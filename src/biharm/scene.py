@@ -83,8 +83,7 @@ def gaussian(seed: int, count: int) -> np.ndarray:
             z[a:b] *= radius
             z[pairs + a : pairs + b] *= radius
 
-    with _shares(range(0, pairs, _BLOCK), None) as run_shares:
-        run_shares(run)
+    _shares(range(0, pairs, _BLOCK), run)
     return z[:count]
 
 

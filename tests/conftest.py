@@ -59,7 +59,7 @@ def rng():
 
 def set_default_workers(monkeypatch, workers: int) -> None:
     """Make ``default_workers()`` return ``workers``: the share scheduler
-    looks it up at each call, so the noise and the classifier use it too."""
+    looks it up at each call, so the noise and compare's scoring use it too."""
     # the module, which the package's ``convolve`` function shadows
     module = importlib.import_module("biharm.convolve")
     monkeypatch.setattr(module, "default_workers", lambda: workers)

@@ -8,8 +8,10 @@ mean-filter residuals of the template's size and larger.
 
 Every case is the same 12 (the fixture seed and seeds 1-3, bands 0-2) on
 three scenes: the flat fixture at sigma 2, and the fixture with a linear
-trend at sigma 2 and 8. The counts are what was measured, the losing ones
-included; a change to any of them is a change to the finding.
+trend at sigma 2 and 8. The trended fixture with its two anomalies swapped
+for two disks of one radius shows how the finding turns with the anomaly
+scale. The counts are what was measured, the losing ones included; a change
+to any of them is a change to the finding.
 """
 import dataclasses
 import os
@@ -19,7 +21,7 @@ import pytest
 
 from biharm.convolve import Boundary, convolve
 from biharm.pipeline import anomaly_residual, ranking_auc, smooth_jacobi
-from biharm.scene import parse_scene_spec, synth_scene
+from biharm.scene import Disk, parse_scene_spec, synth_scene
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline, omega_auto
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -30,6 +32,15 @@ BH = biharmonic_stencil(1.0, 1.0)
 def _spec(name, **changes):
     with open(os.path.join(FIXTURES, name)) as fh:
         return dataclasses.replace(parse_scene_spec(fh.read()), **changes)
+
+
+def _cases(spec):
+    """The 12 cases of ``spec``: each band of the fixture seed and seeds 1-3,
+    with its anomaly footprint."""
+    for seed in SEEDS:
+        bands, truth = synth_scene(dataclasses.replace(spec, seed=seed))
+        for band in bands:
+            yield band, truth.data != 0.0
 
 
 def mean_residual(k):
@@ -62,34 +73,66 @@ def test_3x3_mean_residual_is_the_laplacian():
 def test_detector_claim_counts(spec, expected):
     omega = omega_auto(BH)
     wins = dict.fromkeys(expected, 0)
-    for seed in SEEDS:
-        bands, truth = synth_scene(dataclasses.replace(spec, seed=seed))
-        anomalous = truth.data != 0.0
-        for band in bands:
-            def auc(scores):
-                return ranking_auc(scores, anomalous)
+    for band, anomalous in _cases(spec):
+        def auc(scores):
+            return ranking_auc(scores, anomalous)
 
-            def swept(iterations, w):
-                smoothed = smooth_jacobi(band, BH, iterations, Boundary.MIRROR, omega=w)
-                return auc(anomaly_residual(band, smoothed).scores.data)
+        def swept(iterations, w):
+            smoothed = smooth_jacobi(band, BH, iterations, Boundary.MIRROR, omega=w)
+            return auc(anomaly_residual(band, smoothed).scores.data)
 
-            def mean_filtered(k):
-                return auc(convolve(band, mean_residual(k), Boundary.MIRROR).data)
+        def mean_filtered(k):
+            return auc(convolve(band, mean_residual(k), Boundary.MIRROR).data)
 
-            laplacian = auc(convolve(band, laplacian_baseline(), Boundary.MIRROR).data)
-            damped_100 = swept(100, omega)
-            with pytest.warns(RuntimeWarning, match="diverges"):
-                divergent = swept(3, 1.0)
-            aucs = {
-                "1 plain sweep": swept(1, 1.0),
-                "5 damped": swept(5, omega),
-                "20 damped": swept(20, omega),
-                "100 damped": damped_100,
-                "3 plain, divergent": divergent,
-                "|u - mean(u)|": auc(band.data - band.data.mean()),
-            }
-            for name, value in aucs.items():
-                wins[name] += value > laplacian
-            wins["5x5 mean residual"] += mean_filtered(2) > damped_100
-            wins["7x7 mean residual"] += mean_filtered(3) > damped_100
+        laplacian = auc(convolve(band, laplacian_baseline(), Boundary.MIRROR).data)
+        damped_100 = swept(100, omega)
+        with pytest.warns(RuntimeWarning, match="diverges"):
+            divergent = swept(3, 1.0)
+        aucs = {
+            "1 plain sweep": swept(1, 1.0),
+            "5 damped": swept(5, omega),
+            "20 damped": swept(20, omega),
+            "100 damped": damped_100,
+            "3 plain, divergent": divergent,
+            "|u - mean(u)|": auc(band.data - band.data.mean()),
+        }
+        for name, value in aucs.items():
+            wins[name] += value > laplacian
+        wins["5x5 mean residual"] += mean_filtered(2) > damped_100
+        wins["7x7 mean residual"] += mean_filtered(3) > damped_100
     assert wins == expected
+
+
+def _disks(radius, sigma):
+    """The trended fixture at ``sigma``, its two anomalies replaced by disks
+    of ``radius`` at their centres, with their amplitudes."""
+    return _spec("compare_scene_trend.txt", sigma=sigma, anomalies=(
+        Disk(30, 34, radius, (60.0, 40.0, 25.0)),
+        Disk(61, 59, radius, (55.0, 35.0, 20.0)),
+    ))
+
+
+# per disk radius and sigma: in how many of the 12 cases 100 damped sweeps
+# beat the 5x5 mean residual, and in how many they beat the Laplacian
+DISK_COUNTS = {
+    (1, 2.0): (0, 6), (1, 8.0): (0, 12),
+    (2.5, 2.0): (0, 12), (2.5, 8.0): (0, 12),
+    (5, 2.0): (10, 12), (5, 8.0): (5, 12),
+    (8, 2.0): (10, 12), (8, 8.0): (0, 12),
+}
+
+
+@pytest.mark.parametrize("radius,sigma", list(DISK_COUNTS),
+                         ids=[f"r{r}-sigma{s:g}" for r, s in DISK_COUNTS])
+def test_detector_claim_counts_by_disk_radius(radius, sigma):
+    omega = omega_auto(BH)
+    beats_mean, beats_laplacian = 0, 0
+    for band, anomalous in _cases(_disks(radius, sigma)):
+        def auc(stencil):
+            return ranking_auc(convolve(band, stencil, Boundary.MIRROR).data, anomalous)
+
+        smoothed = smooth_jacobi(band, BH, 100, Boundary.MIRROR, omega=omega)
+        damped_100 = ranking_auc(anomaly_residual(band, smoothed).scores.data, anomalous)
+        beats_mean += damped_100 > auc(mean_residual(2))
+        beats_laplacian += damped_100 > auc(laplacian_baseline())
+    assert (beats_mean, beats_laplacian) == DISK_COUNTS[radius, sigma]

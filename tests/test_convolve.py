@@ -9,7 +9,7 @@ import pytest
 
 from biharm import _kernels
 from biharm.convolve import Boundary, _shares, convolve, convolve_reference, default_workers
-from biharm.pipeline import ClassModel, classify_parallelepiped
+from biharm.pipeline import ClassModel, classify_parallelepiped, smooth_jacobi
 from biharm.raster import BandSet, Raster
 from biharm.scene import gaussian
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
@@ -94,37 +94,49 @@ def test_one_worker_starts_no_thread(monkeypatch, rng):
     assert len(started) == 1  # the spy sees the one helper of two workers
 
 
-@pytest.mark.parametrize("call", [
-    lambda: gaussian(5, 3 * 2**16),  # 3 blocks of pairs
-    lambda: classify_parallelepiped(  # 3 strips of 32 rows
+# gaussian deals its blocks to the default workers; classify runs its strips
+# on the calling thread, so it starts no thread on two workers either
+@pytest.mark.parametrize("call,threads_on_two", [
+    (lambda: gaussian(5, 3 * 2**16), 1),  # 3 blocks of pairs
+    (lambda: classify_parallelepiped(  # 3 strips of 32 rows
         BandSet([Raster.constant(5, 70, 1.0)]),
-        ClassModel(band_count=1, intervals={1: np.array([[0.0, 2.0]])})).data,
+        ClassModel(band_count=1, intervals={1: np.array([[0.0, 2.0]])})).data, 0),
 ], ids=["gaussian", "classify"])
-def test_one_worker_starts_no_thread_in_noise_or_classify(monkeypatch, call):
+def test_one_worker_starts_no_thread_in_noise_or_classify(monkeypatch, call, threads_on_two):
     started = _spy_thread_starts(monkeypatch)
     set_default_workers(monkeypatch, 1)
     want = call()
     assert started == []
     set_default_workers(monkeypatch, 2)
     assert call().tobytes() == want.tobytes()
-    assert len(started) == 1
+    assert len(started) == threads_on_two
 
 
 class TileError(Exception):
     pass
 
 
-def _raising_tiles(monkeypatch, raising):
+def _raising_tiles(monkeypatch, raising, raising_pass=1):
     """Make the tiles that start at a row in ``raising`` raise TileError
-    naming that row; returns the list of tiles that ran to completion."""
+    naming that row, in pass ``raising_pass`` of the tap loop (each pass is
+    one ``_shares`` call); returns the list of that pass's tiles that ran to
+    completion."""
     done = []
+    passes = [0]
+    shares = convolve_module._shares
+
+    def counted_shares(items, run, workers=None):
+        passes[0] += 1  # before any tile of the pass runs
+        shares(items, run, workers)
 
     def conv_rows(padded, taps, radius, out, row0, row1, scaled_center=None):
-        if row0 in raising:
-            raise TileError(f"tile at row {row0}")
+        if passes[0] == raising_pass and row0 in raising:
+            raise TileError(f"tile at row {row0} in pass {passes[0]}")
         _kernels.conv_rows(padded, taps, radius, out, row0, row1, scaled_center)
-        done.append(row0)
+        if passes[0] == raising_pass:
+            done.append(row0)
 
+    monkeypatch.setattr(convolve_module, "_shares", counted_shares)
     monkeypatch.setattr(convolve_module, "conv_rows", conv_rows)
     return done
 
@@ -149,6 +161,25 @@ def test_a_raising_tile_raises_once_every_share_is_done(monkeypatch, rng, raisin
 
 
 @pytest.mark.parametrize("raising,message", [
+    ({0}, "tile at row 0 in pass 2"),  # the calling thread's share
+    ({4}, "tile at row 4 in pass 2"),  # the helper's share
+])
+def test_a_tile_raising_in_a_later_pass_raises_once_its_pass_is_done(
+        monkeypatch, rng, raising, message):
+    # each pass deals its tiles afresh: the second of three passes raises,
+    # after the first ran on two workers, and the third never starts
+    r = Raster(rng.normal(0, 1, (40, 12)))  # 10 tiles of 4 rows, 5 per share
+    threads = threading.active_count()
+    done = _raising_tiles(monkeypatch, raising, raising_pass=2)
+    with pytest.raises(TileError, match=message):
+        smooth_jacobi(r, biharmonic_stencil(1.0, 1.0), 3, Boundary.MIRROR, 4, 2,
+                      omega=0.1)
+    assert threading.active_count() == threads  # every pass's helper was joined
+    # the share of the second pass that did not raise ran to its end
+    assert sorted(done) == ([4, 12, 20, 28, 36] if 0 in raising else [0, 8, 16, 24, 32])
+
+
+@pytest.mark.parametrize("raising,message", [
     ({0}, "item 0"),  # the calling thread's share
     ({2}, "item 2"),  # a pool thread's share
     ({1, 2}, "item 1"),  # two pool threads: the lowest share wins
@@ -165,11 +196,10 @@ def test_shares_raise_once_every_share_is_done(raising, message):
             done.append(item)
 
     threads = threading.active_count()
-    with _shares(range(12), 3) as run_shares:  # shares 0::3, 1::3 and 2::3
-        with pytest.raises(TileError, match=message):
-            run_shares(run)
-        # every share that did not raise ran to its end before the call raised
-        assert sorted(done) == [i for i in range(12) if i % 3 not in raising]
+    with pytest.raises(TileError, match=message):
+        _shares(range(12), run, 3)  # shares 0::3, 1::3 and 2::3
+    # every share that did not raise ran to its end before the call raised
+    assert sorted(done) == [i for i in range(12) if i % 3 not in raising]
     assert threading.active_count() == threads  # the pool threads were joined
 
 

@@ -35,7 +35,7 @@ from biharm.stencil import (
     symbol_range,
 )
 
-from conftest import assert_ulp_close, set_default_workers
+from conftest import assert_ulp_close
 
 BH = biharmonic_stencil(1.0, 1.0)
 
@@ -634,11 +634,9 @@ def _classify_whole_raster(b, m):
 
 
 # 1, 31, 32 and 33 rows sit around one strip of 32 rows; 97 is 4 strips,
-# which 3 workers deal unevenly
+# the last one short
 @pytest.mark.parametrize("height", [1, 31, 32, 33, 97])
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_classify_strips_match_the_whole_raster_loop(monkeypatch, height, workers):
-    set_default_workers(monkeypatch, workers)
+def test_classify_strips_match_the_whole_raster_loop(height):
     rng = np.random.default_rng(height)
     # integer samples land on the box edges; the boxes overlap and their ids
     # are not in key order, so the lowest id must win
