@@ -12,15 +12,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary
-from .formats import (
-    FormatError,
-    _check_band,
-    _save_mask,
-    load_bandset,
-    load_pgm,
-    save_bandset,
-    save_pgm,
-)
+from .formats import _save_mask, load_bandset, save_bandset, save_pgm
 from .pipeline import (
     MapMode,
     _threshold_bool,
@@ -37,24 +29,9 @@ from .scene import parse_scene_spec, synth_scene
 from .stencil import biharmonic_stencil, laplacian_baseline, omega_auto, validate_stencil
 
 
-def _load_input(path, band=None) -> BandSet:
-    """Every band of a PGM or BFR1 file, or only ``band`` as ``load_bandset``
-    reads it."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic[:2] in (b"P2", b"P5"):
-        raster = load_pgm(path)
-        if band is not None:
-            _check_band(band, 1)
-        return BandSet([raster], ["band1"])
-    if magic == b"BFR1":
-        return load_bandset(path, band)
-    raise FormatError(f"parse error: unrecognized magic {magic!r} in {path}")
-
-
 def _load_single(path, flag) -> Raster:
     """The one band of a truth, ROI or reference input."""
-    bands = _load_input(path)
+    bands = load_bandset(path)
     if len(bands) != 1:
         raise ValueError(f"{flag} {path} holds {len(bands)} bands, expected 1")
     return bands[0]
@@ -145,7 +122,7 @@ def _cmd_stencil(args):
 
 
 def _cmd_smooth(args):
-    bands = _load_input(args.in_path)
+    bands = load_bandset(args.in_path)
     _check_output_bands(len(bands), args.out_path)
     stencil = _make_stencil(args)
     boundary = Boundary.parse(args.boundary)
@@ -171,7 +148,7 @@ def _band_map(args, mode, stencil, band, name):
 
 
 def _cmd_detect(args):
-    bands = _load_input(args.in_path)
+    bands = load_bandset(args.in_path)
     _check_output_bands(len(bands), args.out_path)
     stencil = _make_stencil(args)
     mode = MapMode(args.mode)
@@ -189,7 +166,7 @@ def _cmd_detect(args):
 
 def _cmd_compare(args):
     try:
-        bands = _load_input(args.in_path, args.band)
+        bands = load_bandset(args.in_path, args.band)
     except IndexError as exc:
         print(f"biharm: error: --{exc}", file=sys.stderr)
         return 2
@@ -211,7 +188,7 @@ def _cmd_compare(args):
 
 
 def _cmd_classify(args):
-    bands = _load_input(args.in_path)
+    bands = load_bandset(args.in_path)
     roi = _load_single(args.roi, "--roi")
     model = fit_parallelepiped(bands, roi)
     top = max(model.class_ids())

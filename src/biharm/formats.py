@@ -78,7 +78,10 @@ def _p2_tokens(data: bytes, pos: int, count: int) -> list:
 def load_pgm(path) -> Raster:
     """Load a P2 (ASCII) or P5 (binary) PGM; sample values kept as-is."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _parse_pgm(fh.read())
+
+
+def _parse_pgm(data: bytes) -> Raster:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"parse error: bad magic {magic!r} at byte 0")
@@ -182,9 +185,18 @@ def load_bandset(path, band: int | None = None) -> BandSet:
     the result outlives the file. With ``band`` (0-based), only that band's
     samples are read, into a one-band set under its name; the header and the
     whole payload length are checked all the same, and a band the file does
-    not hold is an IndexError."""
+    not hold is an IndexError. A PGM file reads as the one band ``band1``."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
+        if head[:2] in (b"P2", b"P5"):
+            # read(size) makes one buffer; a bare read() after the head would
+            # copy the whole file once more to join it to the buffered head
+            fh.seek(0)
+            raster = _parse_pgm(fh.read(size))
+            if band is not None:
+                _check_band(band, 1)
+            return BandSet([raster])
         if head[:4] != BFR_MAGIC:
             raise FormatError(f"parse error: bad magic {head[:4]!r} at byte 0")
         if len(head) < 16:
@@ -214,7 +226,6 @@ def load_bandset(path, band: int | None = None) -> BandSet:
         # buffer is allocated
         count = width * height
         need = band_count * count * 4
-        size = os.fstat(fh.fileno()).st_size
         if pos + need != size:
             raise FormatError(f"parse error: payload length {size - pos}, expected {need}")
         if band is None:

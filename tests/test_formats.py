@@ -37,6 +37,27 @@ def test_p2_comments(tmp_path):
     assert list(load_pgm(path).data.ravel()) == [0, 255, 128, 64]
 
 
+PGM_FILES = {
+    "p2-comment": b"P2 # comment\n# another\n2 2\n255\n0 255\n128 64",
+    "p5-8bit": b"P5\n3 2\n255\n" + bytes([0, 1, 2, 253, 254, 255]),
+    "p5-16bit": b"P5\n2 2\n65535\n" + struct.pack(">4H", 0, 1, 300, 65535),
+    "p2-shorter-than-bfr1-header": b"P2\n1 1\n255\n7\n",
+}
+
+
+@pytest.mark.parametrize("data", PGM_FILES.values(), ids=PGM_FILES)
+def test_load_bandset_reads_a_pgm_as_one_band(tmp_path, data):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(data)
+    want = load_pgm(path).data.tobytes()
+    for bands in (load_bandset(path), load_bandset(path, 0)):
+        assert bands.band_names == ("band1",) and len(bands) == 1
+        assert bands[0].data.tobytes() == want
+    with pytest.raises(IndexError) as info:
+        load_bandset(path, 1)
+    assert str(info.value) == "band 1 is out of range for 1 band(s)"
+
+
 def test_p5_basic(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0x00, 0xFF, 0x80, 0x40]))
