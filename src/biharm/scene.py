@@ -7,7 +7,7 @@ and thread counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,15 @@ def substream_seed(seed: int, index: int) -> int:
     return int(_mix64(z, np.empty_like(z))[0])
 
 
+def _inside(anomaly, width: int, height: int) -> bool:
+    """Whether the anomaly's box lies inside a width x height raster."""
+    try:
+        rows, cols = anomaly.box()
+    except OverflowError:  # a disk's c - r or c + r is infinite
+        return False
+    return rows.start >= 0 and cols.start >= 0 and rows.stop <= height and cols.stop <= width
+
+
 @dataclass(frozen=True)
 class Disk:
     cx: float
@@ -103,25 +112,16 @@ class Disk:
     def check_bounds(self, width: int, height: int):
         if not all(map(math.isfinite, (self.cx, self.cy, self.radius))):
             raise ValueError(f"disk centre and radius must be finite: {self}")
-        r = abs(self.radius)  # the footprint squares the radius
-        if (
-            self.cx - r < 0
-            or self.cx + r > width - 1
-            or self.cy - r < 0
-            or self.cy + r > height - 1
-        ):
+        if not _inside(self, width, height):
             raise ValueError(f"disk footprint out of bounds: {self}")
 
-    def box(self, width: int, height: int):
-        """(rows, cols) slices of the raster that hold the footprint."""
+    def box(self):
+        """(rows, cols) slices that hold the footprint, never clipped."""
         # a pixel outside [floor(c - r), ceil(c + r)] is more than r from the
         # centre by nearly a whole pixel, far past any rounding of the test
         r = abs(self.radius)  # the test squares the radius
-        x0 = max(0, math.floor(self.cx - r))
-        y0 = max(0, math.floor(self.cy - r))
-        x1 = min(width - 1, math.ceil(self.cx + r))
-        y1 = min(height - 1, math.ceil(self.cy + r))
-        return slice(y0, y1 + 1), slice(x0, x1 + 1)
+        return (slice(math.floor(self.cy - r), math.ceil(self.cy + r) + 1),
+                slice(math.floor(self.cx - r), math.ceil(self.cx + r) + 1))
 
     def mask(self, box) -> np.ndarray:
         """The pixels of ``box`` whose centres lie within the radius."""
@@ -138,18 +138,15 @@ class Rect:
     amplitudes: tuple
 
     def check_bounds(self, width: int, height: int):
+        if not all(isinstance(v, (int, np.integer)) for v in astuple(self)[:4]):
+            raise ValueError(f"rectangle x0, y0, width and height must be integers: {self}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"rectangle must be at least 1x1: {self}")
-        if (
-            self.x0 < 0
-            or self.y0 < 0
-            or self.x0 + self.width > width
-            or self.y0 + self.height > height
-        ):
+        if not _inside(self, width, height):
             raise ValueError(f"rectangle footprint out of bounds: {self}")
 
-    def box(self, width: int, height: int):
-        """(rows, cols) slices of the raster that hold the footprint."""
+    def box(self):
+        """(rows, cols) slices that hold the footprint."""
         return slice(self.y0, self.y0 + self.height), slice(self.x0, self.x0 + self.width)
 
     def mask(self, box):
@@ -257,8 +254,7 @@ def synth_scene(spec: SceneSpec):
     # sees that, and its error is turned into one that names the spec
     with np.errstate(over="ignore", invalid="ignore"):
         base = spec.level + spec.trend[0] * xx + spec.trend[1] * yy
-        boxes = [a.box(w, h) for a in spec.anomalies]
-        footprints = [(box, a.mask(box)) for a, box in zip(spec.anomalies, boxes)]
+        footprints = [(box := a.box(), a.mask(box)) for a in spec.anomalies]
         bands = []
         for b in range(spec.band_count):
             if spec.sigma > 0:

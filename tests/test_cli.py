@@ -805,6 +805,8 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     ("anomaly = rect 1 2 3 4", "line 4: rect needs: rect x0 y0 width height amp..."),
     ("anomaly = rect 1 1 0 3 5",
      "rectangle must be at least 1x1: Rect(x0=1, y0=1, width=0, height=3, amplitudes=(5.0,))"),
+    ("anomaly = disk 1e308 5 1e308 5",  # cx + r overflows to inf
+     "disk footprint out of bounds: Disk(cx=1e+308, cy=5.0, radius=1e+308, amplitudes=(5.0,))"),
 ])
 def test_synth_spec_numbers_exit_1(line, message, tmp_path, capsys):
     spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"

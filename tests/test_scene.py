@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -216,6 +217,81 @@ def test_disk_box_holds_the_whole_footprint(width, height, radius, fx, fy):
     yy, xx = np.mgrid[0:height, 0:width]
     full = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2
     assert np.array_equal(truth.data, full.astype(np.float64))
+
+
+# a coordinate on the low edge of its axis (c - r == 0, or x0 == 0), on the
+# high edge (c + r == size - 1, or x0 + w == size) or between the two, then
+# moved one ulp down, not at all, or one ulp up (one pixel for a rectangle)
+placements = st.tuples(st.sampled_from(["low", "high", "mid"]), st.floats(0.0, 1.0),
+                       st.integers(-1, 1))
+
+
+def _place(low, high, where, frac, step):
+    at = {"low": low, "high": high, "mid": low + frac * (high - low)}[where]
+    if isinstance(low, int):  # a rectangle's corner, moved a pixel a step
+        return round(at) + step
+    return at if step == 0 else math.nextafter(at, step * math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 16), st.floats(-6.0, 6.0), placements, placements)
+def test_disk_bounds_at_the_raster_edges(width, height, radius, px, py):
+    # the oracle is the bounds rule written on c -+ r; the box rule must
+    # accept and reject exactly the same disks
+    r = abs(radius)
+    cx, cy = _place(r, width - 1 - r, *px), _place(r, height - 1 - r, *py)
+    disk = Disk(cx, cy, radius, (1.0,))
+    if cx - r < 0 or cx + r > width - 1 or cy - r < 0 or cy + r > height - 1:
+        with pytest.raises(ValueError, match="^disk footprint out of bounds"):
+            SceneSpec(width=width, height=height, anomalies=(disk,))
+        return
+    _, truth = synth_scene(SceneSpec(width=width, height=height, anomalies=(disk,)))
+    yy, xx = np.mgrid[0:height, 0:width]
+    full = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2
+    assert np.array_equal(truth.data, full.astype(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 8), st.integers(1, 8),
+       placements, placements)
+def test_rect_bounds_at_the_raster_edges(width, height, w, h, px, py):
+    x0, y0 = _place(0, width - w, *px), _place(0, height - h, *py)
+    rect = Rect(x0, y0, w, h, (1.0,))
+    if x0 < 0 or y0 < 0 or x0 + w > width or y0 + h > height:
+        with pytest.raises(ValueError, match="^rectangle footprint out of bounds"):
+            SceneSpec(width=width, height=height, anomalies=(rect,))
+        return
+    _, truth = synth_scene(SceneSpec(width=width, height=height, anomalies=(rect,)))
+    full = np.zeros((height, width))
+    full[y0 : y0 + h, x0 : x0 + w] = 1.0
+    assert np.array_equal(truth.data, full)
+
+
+def test_disk_whose_bound_overflows_is_out_of_bounds():
+    # cx + r is inf, past the raster, though the centre and radius are finite
+    for cx in (1e308, -1e308):
+        with pytest.raises(ValueError, match="^disk footprint out of bounds"):
+            SceneSpec(width=10, height=10, anomalies=(Disk(cx, 5.0, 1e308, (1.0,)),))
+
+
+@pytest.mark.parametrize("geometry", [
+    (1.5, 2, 3, 3), (2.0, 2, 3, 3), (1, 2.0, 3, 3), (1, 2, 3.0, 3), (1, 2, 3, 2.5),
+])
+def test_rect_geometry_must_be_integers(geometry):
+    # the footprint is a numpy slice, whose indices must be integers
+    message = r"^rectangle x0, y0, width and height must be integers: Rect\("
+    with pytest.raises(ValueError, match=message):
+        SceneSpec(width=10, height=10, anomalies=(Rect(*geometry, (1.0,)),))
+
+
+def test_rect_of_numpy_integers_draws_the_same_scene():
+    def scene(x0):
+        spec = SceneSpec(width=10, height=8, sigma=1.0, seed=6,
+                         anomalies=(Rect(x0, np.int32(2), 3, np.int64(4), (5.0,)),))
+        bands, truth = synth_scene(spec)
+        return bands[0].data.tobytes(), truth.data.tobytes()
+
+    assert scene(np.int64(1)) == scene(1)
 
 
 @pytest.mark.parametrize("field", ["cx", "cy", "radius"])
