@@ -100,13 +100,17 @@ def _shares(items: Sequence, run, workers: int | None = None) -> None:
         fut.result()
 
 
-def _refresh_halo(buf: np.ndarray, radius: int, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Rewrite the radius-wide halo of ``buf`` from its interior, as ``np.pad``
-    would. ``rows``/``cols`` map each padded row/column to the buffer
-    row/column it copies: first the halo columns of the interior rows, then
-    whole halo rows, which copy interior rows already complete."""
-    h = rows.size - 2 * radius
-    w = cols.size - 2 * radius
+def _refresh_halo(buf: np.ndarray, radius: int, b: Boundary) -> None:
+    """Write the radius-wide halo of ``buf`` from its interior, as ``np.pad``
+    with ``b``'s mode would; ZERO's halo is left as it is. Index maps send
+    each padded row/column to the buffer row/column it copies: first the
+    halo columns of the interior rows, then whole halo rows, which copy
+    interior rows already complete."""
+    if b is Boundary.ZERO:
+        return
+    h, w = buf.shape[0] - 2 * radius, buf.shape[1] - 2 * radius
+    rows = radius + np.pad(np.arange(h), radius, mode=_PAD_MODE[b])
+    cols = radius + np.pad(np.arange(w), radius, mode=_PAD_MODE[b])
     inner = buf[radius : radius + h]
     inner[:, :radius] = inner[:, cols[:radius]]
     inner[:, radius + w :] = inner[:, cols[radius + w :]]
@@ -128,13 +132,14 @@ def _sweeps(
 
     Without ``scaled_center`` a pass is the convolution. With it, each pass
     is the Jacobi update ``cur - conv(cur) / scaled_center`` of the previous
-    pass's output (see ``_kernels.conv_rows``). The input is padded once;
-    the last pass writes a fresh ``(h, w)`` array and every earlier pass
-    writes the interior of the other of two padded buffers, after which
-    only that buffer's halo is rewritten. A pass never writes a halo, so
-    ZERO's stays zero. Rows are split into bands of tile_height, and each
-    pass runs them through one ``_shares`` call. Tiles read overlapping
-    padded rows but write disjoint rows, so scheduling cannot change results.
+    pass's output (see ``_kernels.conv_rows``). The input is copied once into
+    the interior of a zeroed padded buffer; the last pass writes a fresh
+    ``(h, w)`` array and every earlier pass writes the interior of the other
+    of two such buffers. Each pass first writes its input buffer's halo with
+    ``_refresh_halo``, the only writer of a halo here, so ZERO's stays zero.
+    Rows are split into bands of tile_height, and each pass runs them
+    through one ``_shares`` call. Tiles read overlapping padded rows but
+    write disjoint rows, so scheduling cannot change results.
     """
     if tile_height < 1:
         raise ValueError(f"tile_height must be positive, got {tile_height}")
@@ -144,14 +149,11 @@ def _sweeps(
     k = 2 * radius + 1
     taps = [(float(s.coeffs[qi, pi]), qi, pi)
             for qi in range(k) for pi in range(k) if s.coeffs[qi, pi] != 0.0]
-    mode = _PAD_MODE[b]
-    src = np.pad(r.data, radius, mode=mode)
-    if passes > 1:
-        # ZERO's halo needs zeros; np.zeros takes them from pages the kernel
-        # already zeroed, where zeros_like writes every byte
-        spare = np.zeros(src.shape)
-        rows = radius + np.pad(np.arange(h), radius, mode=mode)
-        cols = radius + np.pad(np.arange(w), radius, mode=mode)
+    # ZERO's halo needs zeros; np.zeros takes them from pages the kernel
+    # already zeroed, where zeros_like writes every byte
+    src = np.zeros((h + 2 * radius, w + 2 * radius))
+    src[radius : radius + h, radius : radius + w] = r.data
+    spare = np.zeros(src.shape) if passes > 1 else None
     tiles = [(r0, min(r0 + tile_height, h)) for r0 in range(0, h, tile_height)]
 
     def run(share):  # reads the src and out of the pass that calls it
@@ -159,15 +161,13 @@ def _sweeps(
             conv_rows(src, taps, radius, out, row0, row1, scaled_center)
 
     for done in range(1, passes + 1):
+        _refresh_halo(src, radius, b)
         if done == passes:
             out = np.empty((h, w))
         else:
             out = spare[radius : radius + h, radius : radius + w]
         _shares(tiles, run, workers)
-        if done < passes:
-            if b is not Boundary.ZERO:
-                _refresh_halo(spare, radius, rows, cols)
-            src, spare = spare, src
+        src, spare = spare, src
     return out
 
 

@@ -166,6 +166,9 @@ class SceneSpec:
     anomalies: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        sizes = (self.width, self.height, self.band_count)
+        if not all(isinstance(v, (int, np.integer)) for v in sizes):
+            raise ValueError(f"scene width, height and band count must be integers, got {sizes}")
         if self.width < 1 or self.height < 1:
             raise ValueError("scene dimensions must be positive")
         if self.band_count < 1:

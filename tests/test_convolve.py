@@ -414,3 +414,24 @@ def test_conv_rows_writes_only_its_rows_of_out(scaled_center, row0, row1, rng):
     written = np.zeros(dest.shape, dtype=bool)
     written[radius + row0 : radius + row1, radius:-radius] = True
     assert np.isnan(dest[~written]).all()
+
+
+NP_PAD_MODE = {Boundary.MIRROR: "reflect", Boundary.REPLICATE: "edge",
+               Boundary.ZERO: "constant", Boundary.WRAP: "wrap"}
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("policy,shape", [
+    *[(policy, shape) for policy in (Boundary.WRAP, Boundary.ZERO, Boundary.REPLICATE)
+      for shape in [(1, 9), (2, 1), (6, 1), (7, 11)]],
+    (Boundary.MIRROR, (5, 5)), (Boundary.MIRROR, (7, 11)),
+])
+def test_refresh_halo_writes_the_bytes_of_np_pad(policy, shape, radius, rng):
+    # the sweep engine's one halo writer; 1x9, 2x1 and 6x1 are smaller than
+    # the window on one axis, so WRAP and REPLICATE copy a row or a column
+    # several times
+    data = rng.normal(0, 5, shape)
+    buf = np.zeros((shape[0] + 2 * radius, shape[1] + 2 * radius))
+    buf[radius:-radius, radius:-radius] = data
+    convolve_module._refresh_halo(buf, radius, policy)
+    assert buf.tobytes() == np.pad(data, radius, mode=NP_PAD_MODE[policy]).tobytes()

@@ -294,6 +294,27 @@ def test_rect_of_numpy_integers_draws_the_same_scene():
     assert scene(np.int64(1)) == scene(1)
 
 
+@pytest.mark.parametrize("sizes", [
+    {"width": 10.0, "height": 8}, {"width": 10, "height": 8.0},
+    {"width": 10, "height": 8, "band_count": 2.0},
+])
+def test_spec_sizes_must_be_integers(sizes):
+    # synth_scene builds arrays of these sizes, whose dimensions are integers
+    message = r"^scene width, height and band count must be integers, got \("
+    with pytest.raises(ValueError, match=message):
+        SceneSpec(**sizes)
+
+
+def test_spec_of_numpy_integer_sizes_draws_the_same_scene():
+    def scene(width, height, band_count):
+        spec = SceneSpec(width=width, height=height, band_count=band_count, sigma=1.0,
+                         seed=6, anomalies=(Disk(5.0, 4.0, 2.0, (5.0, 3.0)),))
+        bands, truth = synth_scene(spec)
+        return [band.data.tobytes() for band in bands], truth.data.tobytes()
+
+    assert scene(np.int64(10), np.int32(8), np.int64(2)) == scene(10, 8, 2)
+
+
 @pytest.mark.parametrize("field", ["cx", "cy", "radius"])
 def test_disk_rejects_nan_geometry(field):
     geometry = {"cx": 5.0, "cy": 5.0, "radius": 2.0, field: float("nan")}
