@@ -47,6 +47,8 @@ def _minmax_scaled(r: Raster, maxval: int = 255) -> Raster:
 def _check_output_bands(count: int, path) -> None:
     if str(path).endswith(".pgm") and count != 1:
         raise ValueError(f"PGM output holds one band, have {count}")
+    if count > 0xFFFFFFFF:  # BFR1 stores the count as a u32
+        raise ValueError(f"BFR1 output holds at most {0xFFFFFFFF} bands, have {count}")
 
 
 def _write_output(bands: BandSet, path, scale: bool = False) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 from .raster import BandSet, Raster
 
 BFR_MAGIC = b"BFR1"
+_PGM_STRIP_ROWS = 32
 
 
 class FormatError(ValueError):
@@ -126,11 +127,18 @@ def save_pgm(r: Raster, path, maxval: int = 255) -> None:
     """Write binary P5; samples clamped to [0, maxval], rounded half away from zero."""
     if maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
-    # after the clip, floor(x + 0.5) <= maxval: the integers convert exactly
-    quantized = np.clip(r.data, 0.0, float(maxval))
-    quantized += 0.5
-    np.floor(quantized, out=quantized)
-    _write_p5(quantized.astype(">u2" if maxval > 255 else "u1"), path, maxval)
+    data = r.data
+    payload = np.empty(data.shape, ">u2" if maxval > 255 else "u1")
+    # quantized through one reused strip of rows, so that no float copy of the
+    # whole raster is made; after the clip, floor(x + 0.5) <= maxval: the
+    # integers convert exactly on assignment
+    strip = np.empty((min(len(data), _PGM_STRIP_ROWS), data.shape[1]))
+    for top in range(0, len(data), _PGM_STRIP_ROWS):
+        rows = data[top : top + _PGM_STRIP_ROWS]
+        part = np.clip(rows, 0.0, float(maxval), out=strip[: len(rows)])
+        part += 0.5
+        payload[top : top + len(rows)] = np.floor(part, out=part)
+    _write_p5(payload, path, maxval)
 
 
 def _save_mask(mask: np.ndarray, path) -> None:
@@ -159,19 +167,20 @@ def save_bandset(b: BandSet, path) -> None:
             raise ValueError(f"band name too long ({len(raw)} bytes)")
         header.append(struct.pack("<H", len(raw)))
         header.append(raw)
-    # every band is converted and checked before the file is opened, so a bad
-    # band leaves no file; the arrays are then written through the buffer
-    # protocol, without a bytes copy
-    payload = []
+    # every band is checked before the file is opened, so a bad band leaves no
+    # file. Rounding to float32 is monotone, so a band fits if and only if its
+    # largest magnitude does: the check allocates nothing
     for band in b:
         with np.errstate(over="ignore"):
-            samples = np.ascontiguousarray(band.data, dtype="<f4")
-        if not np.isfinite(samples).all():
-            raise ValueError("samples exceed the float32 range of BFR1")
-        payload.append(samples)
+            if not np.isfinite(np.float32(max(band.data.max(), -band.data.min()))):
+                raise ValueError("samples exceed the float32 range of BFR1")
+    # each band is cast into one reused float32 buffer, written through the
+    # buffer protocol without a bytes copy
+    samples = np.empty((b.height, b.width), "<f4")
     with open(path, "wb") as fh:
         fh.write(b"".join(header))
-        for samples in payload:
+        for band in b:
+            samples[...] = band.data
             fh.write(samples)
 
 

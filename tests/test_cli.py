@@ -799,6 +799,10 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     ("trend = nan 0", "trend slopes must be finite, got (nan, 0.0)"),
     ("seed = -1", "seed must be in [0, 2**64), got -1"),
     ("bands = 0", "band count must be positive"),
+    # BFR1 counts bands in a u32; no band is made before the check
+    ("bands = 4294967296", "BFR1 output holds at most 4294967295 bands, have 4294967296"),
+    ("bands = 100000000000000000000",
+     "BFR1 output holds at most 4294967295 bands, have 100000000000000000000"),
     ("bogus", "line 4: expected key = value, got 'bogus'"),
     ("trend = 1", "line 4: trend needs 2 slopes"),
     ("anomaly = disk 1 2 3", "line 4: disk needs: disk cx cy radius amp..."),

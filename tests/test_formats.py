@@ -175,6 +175,21 @@ def test_pgm_roundtrip_equals_clamp_round(tmp_path, rng):
         assert np.array_equal(back.data, expected)
 
 
+@pytest.mark.parametrize("maxval", [255, 65535])
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 65])
+def test_save_pgm_bytes_equal_whole_array_quantization(tmp_path, rng, height, maxval):
+    # the last strip ends inside, on or just past a strip boundary; every
+    # byte is the one a single clip, +0.5, floor and cast of the whole array gives
+    data = rng.uniform(-50, maxval + 50, (height, 11))
+    # the clip edges, a negative zero and exact halves, which round up
+    data[::16, :8] = [maxval - 0.5, maxval, -0.0, 0.5, 2.5, 127.5, maxval - 1.5, -0.5]
+    data[-1, 8:] = [maxval + 0.5, -1e300, 1e300]
+    path = tmp_path / "r.pgm"
+    save_pgm(Raster(data), path, maxval)
+    payload = np.floor(np.clip(data, 0, maxval) + 0.5).astype(">u2" if maxval > 255 else "u1")
+    assert path.read_bytes() == b"P5\n11 %d\n%d\n" % (height, maxval) + payload.tobytes()
+
+
 @pytest.mark.parametrize("name", ["random", "all-false", "all-true", "1x1"])
 def test_save_mask_bytes_equal_save_pgm_of_scaled_mask(tmp_path, rng, name):
     mask = {
@@ -365,6 +380,57 @@ def test_save_bandset_rejects_float32_overflow(tmp_path):
     assert not path.exists()
 
 
+# halfway between float32's largest value, 2**128 - 2**104, and 2**128: the
+# least magnitude that rounds to infinity
+F32_LIMIT = 2.0**128 - 2.0**103
+
+
+@pytest.mark.parametrize("sample", [F32_LIMIT, -F32_LIMIT,
+                                    np.nextafter(F32_LIMIT, 0), -np.nextafter(F32_LIMIT, 0)])
+def test_save_bandset_accepts_exactly_what_float32_holds(tmp_path, sample):
+    data = np.array([[1.0, sample], [-0.0, 2.5]])
+    with np.errstate(over="ignore"):
+        fits = bool(np.isfinite(data.astype("<f4")).all())
+    assert fits == (abs(sample) < F32_LIMIT)
+    path = tmp_path / "b.bfr"
+    if fits:
+        save_bandset(BandSet([Raster(data)]), path)
+        assert load_bandset(path)[0].data[0, 1] == np.float32(sample)
+    else:
+        with pytest.raises(ValueError, match="float32 range"):
+            save_bandset(BandSet([Raster(data)]), path)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_save_bandset_overflow_in_any_band_writes_nothing(tmp_path, bad):
+    data = np.zeros((3, 2, 3))
+    data[bad, 1, 2] = -1e39
+    bands = BandSet([Raster(d) for d in data])
+    path = tmp_path / "b.bfr"
+    with pytest.raises(ValueError, match="float32 range"):
+        save_bandset(bands, path)
+    assert not path.exists()
+    path.write_bytes(b"BFR1 an earlier file")
+    with pytest.raises(ValueError, match="float32 range"):
+        save_bandset(bands, path)
+    assert path.read_bytes() == b"BFR1 an earlier file"
+
+
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 65])
+def test_save_bandset_bytes_equal_whole_band_casts(tmp_path, rng, height):
+    data = rng.normal(0, 1e30, (3, height, 7))
+    # a negative zero, ties to even, and the largest samples that fit
+    data[:, 0, :6] = [-0.0, 1 + 2.0**-24, 1 + 3 * 2.0**-24, 0.1,
+                      np.nextafter(F32_LIMIT, 0), -np.nextafter(F32_LIMIT, 0)]
+    path = tmp_path / "b.bfr"
+    save_bandset(BandSet([Raster(d) for d in data], ["a", "b", "c"]), path)
+    header = b"BFR1" + struct.pack("<III", 7, height, 3) + b"".join(
+        struct.pack("<H", 1) + name for name in (b"a", b"b", b"c"))
+    payload = b"".join(np.ascontiguousarray(d, "<f4").tobytes() for d in data)
+    assert path.read_bytes() == header + payload
+
+
 @pytest.mark.parametrize("band", [0, 2])
 def test_bfr1_rejects_nan_in_first_or_last_band(tmp_path, band):
     path = tmp_path / "b.bfr"
@@ -499,10 +565,18 @@ def test_load_one_band_memory_budget(tmp_path, rng):
 
 
 def test_save_bandset_memory_budget(tmp_path, rng):
-    # the float32 bands are written as they are, not joined into one bytes
+    # each band is cast into one reused float32 buffer and written from it
     bands = _bands_3x256(rng)
-    payload_bytes = 3 * 256 * 256 * 4
-    assert _traced_peak(lambda: save_bandset(bands, tmp_path / "b.bfr")) <= 1.25 * payload_bytes
+    buffer_bytes = 256 * 256 * 4
+    assert _traced_peak(lambda: save_bandset(bands, tmp_path / "b.bfr")) <= 1.25 * buffer_bytes
+
+
+def test_save_pgm_memory_budget(tmp_path, rng):
+    # the 8-bit payload and one float strip of 32 rows: no float copy of the
+    # whole raster
+    r = Raster(rng.uniform(-10, 300, (1024, 256)))
+    raster_bytes = 1024 * 256 * 8
+    assert _traced_peak(lambda: save_pgm(r, tmp_path / "a.pgm", 255)) <= raster_bytes / 4
 
 
 VALID_FILES = [
