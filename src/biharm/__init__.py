@@ -24,7 +24,6 @@ from .pipeline import (
     AnomalyMap,
     ClassModel,
     DetectionMetrics,
-    MapMode,
     anomaly_highpass,
     anomaly_residual,
     classify_parallelepiped,
@@ -59,7 +58,6 @@ __all__ = [
     "DetectionMetrics",
     "Disk",
     "FormatError",
-    "MapMode",
     "Monomial",
     "Raster",
     "Rect",

@@ -14,7 +14,6 @@ from . import bench as bench_mod
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary
 from .formats import _save_mask, load_bandset, save_bandset, save_pgm
 from .pipeline import (
-    MapMode,
     _threshold_bool,
     anomaly_highpass,
     anomaly_residual,
@@ -127,35 +126,30 @@ def _cmd_smooth(args):
     bands = load_bandset(args.in_path)
     _check_output_bands(len(bands), args.out_path)
     stencil = _make_stencil(args)
-    boundary = Boundary.parse(args.boundary)
-    smoothed = [
-        smooth_jacobi(band, stencil, args.iters, boundary,
-                      args.tile_height, args.workers)
-        for band in bands
-    ]
+    smoothed = [_smoothed(args, stencil, band) for band in bands]
     _write_output(BandSet(smoothed, bands.band_names), args.out_path)
     return 0
 
 
-def _band_map(args, mode, stencil, band, name):
-    """One band's score map: residual against ``args.iters`` Jacobi sweeps of
-    ``stencil``, or its high-pass response."""
-    boundary = Boundary.parse(args.boundary)
-    if mode is MapMode.RESIDUAL:
-        smoothed = smooth_jacobi(band, stencil, args.iters, boundary,
-                                 args.tile_height, args.workers)
-        return anomaly_residual(band, smoothed, name)
-    return anomaly_highpass(band, stencil, boundary, name,
-                            args.tile_height, args.workers)
+def _smoothed(args, stencil, band):
+    """``band`` after ``args.iters`` Jacobi sweeps of ``stencil``."""
+    return smooth_jacobi(band, stencil, args.iters, Boundary.parse(args.boundary),
+                         workers=args.workers)
+
+
+def _band_map(args, mode, stencil, band):
+    """``band``'s score map for ``--mode`` ``mode``: its residual or high-pass response."""
+    if mode == "residual":
+        return anomaly_residual(band, _smoothed(args, stencil, band))
+    return anomaly_highpass(band, stencil, Boundary.parse(args.boundary),
+                            workers=args.workers)
 
 
 def _cmd_detect(args):
     bands = load_bandset(args.in_path)
     _check_output_bands(len(bands), args.out_path)
     stencil = _make_stencil(args)
-    mode = MapMode(args.mode)
-    maps = [_band_map(args, mode, stencil, band, name)
-            for band, name in zip(bands, bands.band_names)]
+    maps = [_band_map(args, args.mode, stencil, band) for band in bands]
     scores = BandSet([m.scores for m in maps], bands.band_names)
     _write_output(scores, args.out_path, scale=True)
     if args.mask_out:
@@ -177,9 +171,8 @@ def _cmd_compare(args):
     truth = _load_single(args.truth, "--truth")  # non-zero is anomalous
     if truth.shape != band.shape:
         raise ValueError(f"shape mismatch: {band.shape} vs {truth.shape}")
-    residual_map = _band_map(args, MapMode.RESIDUAL,
-                             biharmonic_stencil(args.lx, args.ly), band, name)
-    baseline_map = _band_map(args, MapMode.HIGHPASS, laplacian_baseline(), band, name)
+    residual_map = _band_map(args, "residual", biharmonic_stencil(args.lx, args.ly), band)
+    baseline_map = _band_map(args, "highpass", laplacian_baseline(), band)
     del band  # the two detectors are scored at the same time, on their maps only
     m_bh, m_lp = compare_detectors(residual_map, baseline_map, truth, args.sigma_k)
     lines = [("band", name)]
@@ -256,7 +249,7 @@ _size = _checked(lambda text: [int(v) for v in text.lower().split("x")],
 def _add_engine_flags(p):
     p.add_argument("--boundary", default="mirror", choices=[b.value for b in Boundary])
     p.add_argument("--workers", type=_positive_int, default=None)
-    # not an option: the handlers and perfbench read the default height here
+    # not an option, and no handler reads it: only perfbench reads this default
     p.set_defaults(tile_height=DEFAULT_TILE_HEIGHT)
 
 
@@ -293,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="per-band anomaly score maps")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.add_argument("--mode", default="residual", choices=[m.value for m in MapMode])
+    p.add_argument("--mode", default="residual", choices=["residual", "highpass"])
     p.add_argument("--sigma-k", type=_sigma_k, default=3.0)
     p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--mask-out", help="write union threshold mask as PGM")

@@ -1,7 +1,6 @@
 """Smoothing, anomaly maps, detector metrics, and parallelepiped classification."""
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -13,16 +12,10 @@ from .raster import BandSet, Raster
 from .stencil import Stencil, jacobi_range, omega_auto
 
 
-class MapMode(enum.Enum):
-    RESIDUAL = "residual"
-    HIGHPASS = "highpass"
-
-
 @dataclass(frozen=True)
 class AnomalyMap:
     scores: Raster
     source_band: str
-    mode: MapMode
 
 
 def smooth_jacobi(
@@ -80,7 +73,7 @@ def anomaly_residual(original: Raster, smoothed: Raster, source_band: str = "") 
     if original.shape != smoothed.shape:
         raise ValueError(f"shape mismatch: {original.shape} vs {smoothed.shape}")
     scores = Raster._from_array(smoothed.data - original.data)
-    return AnomalyMap(scores=scores, source_band=source_band, mode=MapMode.RESIDUAL)
+    return AnomalyMap(scores=scores, source_band=source_band)
 
 
 def anomaly_highpass(
@@ -93,7 +86,7 @@ def anomaly_highpass(
 ) -> AnomalyMap:
     """Direct high-pass response of the stencil."""
     scores = convolve(r, s, b, tile_height, workers)
-    return AnomalyMap(scores=scores, source_band=source_band, mode=MapMode.HIGHPASS)
+    return AnomalyMap(scores=scores, source_band=source_band)
 
 
 def _threshold_bool(m: AnomalyMap, k_sigma: float) -> np.ndarray:

@@ -16,7 +16,6 @@ from biharm.cli import _metrics_lines, run
 from biharm.convolve import DEFAULT_TILE_HEIGHT, Boundary
 from biharm.formats import load_bandset, load_pgm, save_bandset, save_pgm
 from biharm.pipeline import (
-    MapMode,
     anomaly_highpass,
     anomaly_residual,
     classify_parallelepiped,
@@ -170,7 +169,7 @@ def test_tile_height_is_not_an_option(command, tmp_path, capsys):
     ["compare", "--in", "a", "--truth", "t"],
 ])
 def test_engine_commands_parse_the_default_tile_height(argv):
-    # the handlers, and perfbench, read the height from the parsed namespace
+    # only perfbench reads the height from the parsed namespace; no handler does
     assert cli_mod.build_parser().parse_args(argv).tile_height == DEFAULT_TILE_HEIGHT
 
 
@@ -448,7 +447,7 @@ def test_smooth_output_equals_library(boundary, iters, workers, fixture_scene, t
     assert out.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("mode", [m.value for m in MapMode])
+@pytest.mark.parametrize("mode", ["residual", "highpass"])
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("iters", [1, 3])
 @pytest.mark.parametrize("workers", [1, 2])
@@ -478,6 +477,31 @@ def test_detect_outputs_equal_library(mode, boundary, iters, workers, fixture_sc
                     "--workers", str(workers)]) == 0
     assert out.read_bytes() == want.read_bytes()
     assert mask.read_bytes() == want_mask.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--iters", "3", "--out", "{out}.bfr"],
+    ["detect", "--iters", "3", "--out", "{out}.bfr", "--mask-out", "{out}.pgm"],
+    ["detect", "--mode", "highpass", "--out", "{out}.bfr"],
+    ["compare", "--iters", "3", "--truth", "{truth}", "--report", "{out}.txt"],
+], ids=["smooth", "detect-residual", "detect-highpass", "compare"])
+def test_handlers_run_without_the_tile_height_default(argv, fixture_scene, tmp_path):
+    # the engine's default height comes from the library, not the namespace
+    scene, truth = fixture_scene
+    outputs = {}
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+        for side in ("run", "handler"):
+            paths = {"truth": truth, "out": str(tmp_path / side)}
+            command = [argv[0], "--in", scene] + [a.format(**paths) for a in argv[1:]]
+            if side == "run":
+                assert run(command) == 0
+            else:
+                args = cli_mod.build_parser().parse_args(command)
+                del args.tile_height
+                assert args.func(args) == 0
+            outputs[side] = {p.suffix: p.read_bytes() for p in tmp_path.glob(f"{side}.*")}
+    assert outputs["handler"] == outputs["run"] and outputs["run"]
 
 
 @pytest.mark.parametrize("seed", [None, 7])

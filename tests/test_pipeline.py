@@ -12,7 +12,6 @@ from biharm.convolve import Boundary, convolve, convolve_reference
 from biharm.pipeline import (
     AnomalyMap,
     ClassModel,
-    MapMode,
     _mean_sd,
     _threshold_bool,
     anomaly_highpass,
@@ -40,8 +39,8 @@ from conftest import assert_ulp_close
 BH = biharmonic_stencil(1.0, 1.0)
 
 
-def _map(data, mode=MapMode.RESIDUAL):
-    return AnomalyMap(scores=Raster(data), source_band="t", mode=mode)
+def _map(data):
+    return AnomalyMap(scores=Raster(data), source_band="t")
 
 
 def test_jacobi_constant_fixed_point():
@@ -246,7 +245,6 @@ def test_residual_trivial_cases():
     shifted = Raster.constant(6, 6, 14.0)
     out = anomaly_residual(r, shifted)
     assert np.all(out.scores.data == 5.0)
-    assert out.mode is MapMode.RESIDUAL
     with pytest.raises(ValueError, match="mismatch"):
         anomaly_residual(r, Raster.constant(5, 6, 0.0))
 
@@ -277,7 +275,6 @@ def test_highpass_impulse_laplacian():
 def test_highpass_constant_zero():
     out = anomaly_highpass(Raster.constant(8, 8, 77.0), BH, Boundary.MIRROR)
     assert np.all(out.scores.data == 0.0)
-    assert out.mode is MapMode.HIGHPASS
 
 
 @pytest.mark.parametrize("policy", list(Boundary))
@@ -543,7 +540,7 @@ def test_compare_detectors_repr_equal_serial_calls(seed, k_sigma):
     shape = (48 + seed % 29, 61)
     truth = Raster(np.where(rng.random(shape) < 0.04, 255.0, 0.0))  # non-zero is anomalous
     a = _map(rng.normal(0.0, 1.0, shape) + 4.0 * (truth.data != 0))
-    b = _map(rng.integers(-12, 13, shape) * 0.5, MapMode.HIGHPASS)  # long tie runs
+    b = _map(rng.integers(-12, 13, shape) * 0.5)  # long tie runs
     serial = (detector_metrics(a, truth, k_sigma), detector_metrics(b, truth, k_sigma))
     concurrent = compare_detectors(a, b, truth, k_sigma)
     for got, want in zip(concurrent, serial):
