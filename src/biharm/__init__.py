@@ -38,7 +38,6 @@ from .pipeline import (
 from .raster import BandSet, Raster
 from .scene import Disk, Rect, SceneSpec, parse_scene_spec, synth_scene
 from .stencil import (
-    Monomial,
     Stencil,
     ValidationReport,
     biharmonic_stencil,
@@ -58,7 +57,6 @@ __all__ = [
     "DetectionMetrics",
     "Disk",
     "FormatError",
-    "Monomial",
     "Raster",
     "Rect",
     "SceneSpec",

@@ -40,6 +40,8 @@ def smooth_jacobi(
     sweep; ``omega_auto(s)`` puts it in [0, 1]. A ``RuntimeWarning``
     is emitted when ``iterations > 1`` and the range leaves [-1, 1].
     """
+    if not isinstance(iterations, (int, np.integer)):
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
     if not (math.isfinite(omega) and omega > 0.0):

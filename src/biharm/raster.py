@@ -51,11 +51,6 @@ class Raster:
     def shape(self):
         return self.data.shape
 
-    def __eq__(self, other):
-        if not isinstance(other, Raster):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
-
     def __repr__(self):
         return f"Raster({self.width}x{self.height})"
 

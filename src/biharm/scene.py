@@ -179,8 +179,12 @@ class SceneSpec:
             raise ValueError(f"level must be finite, got {self.level!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma!r}")
+        if len(self.trend) != 2:
+            raise ValueError(f"trend needs 2 slopes, got {self.trend!r}")
         if not all(map(math.isfinite, self.trend)):
             raise ValueError(f"trend slopes must be finite, got {self.trend!r}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
         for a in self.anomalies:

@@ -14,27 +14,27 @@ class Stencil:
     column offset ``p`` and row offset ``q``.
     """
 
-    radius: int
     coeffs: np.ndarray
     lx: float = 1.0
     ly: float = 1.0
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
         if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
             raise ValueError(
                 f"increments must be positive and finite, got lx={self.lx}, ly={self.ly}"
             )
-        k = 2 * self.radius + 1
         arr = np.asarray(self.coeffs, dtype=np.float64)
-        if arr.shape != (k, k):
-            raise ValueError(f"coefficient grid must be {k}x{k}, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 == 0:
+            raise ValueError(f"coefficient grid must be square with an odd side, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def radius(self) -> int:
+        return len(self.coeffs) // 2
 
     def coeff(self, p: int, q: int) -> float:
         return float(self.coeffs[q + self.radius, p + self.radius])
@@ -53,20 +53,6 @@ class Stencil:
         cells = [["%g" % v for v in row] for row in self.rows_top_down()]
         width = max(len(c) for row in cells for c in row)
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """One Taylor term x^u * y^v."""
-
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.u < 0 or self.v < 0:
-            raise ValueError("powers must be non-negative")
-        if self.u + self.v > 7:
-            raise ValueError(f"total degree {self.u + self.v} exceeds 7")
 
 
 def biharmonic_stencil(lx: float = 1.0, ly: float = 1.0) -> Stencil:
@@ -102,22 +88,25 @@ def biharmonic_stencil(lx: float = 1.0, ly: float = 1.0) -> Stencil:
         put(0, 0, 2.0 * (3.0 * lx4 + 3.0 * ly4 + 4.0 * lx2 * ly2) / (lx4 * ly4))
     if not np.isfinite(c).all():
         raise ValueError(f"increments lx={lx}, ly={ly} give non-finite coefficients")
-    return Stencil(radius=2, coeffs=c, lx=lx, ly=ly)
+    return Stencil(c, lx, ly)
 
 
 def laplacian_baseline() -> Stencil:
     """3x3 high-pass filter: center 8, all eight neighbors -1."""
     c = np.full((3, 3), -1.0)
     c[1, 1] = 8.0
-    return Stencil(radius=1, coeffs=c, lx=1.0, ly=1.0)
+    return Stencil(c)
 
 
-def monomial_response(s: Stencil, m: Monomial) -> float:
+def monomial_response(s: Stencil, u: int, v: int) -> float:
     """Stencil applied to x^u * y^v, evaluated at the origin by brute-force sum."""
-    r = s.radius
-    offsets = np.arange(-r, r + 1, dtype=np.float64)
-    px = (offsets * s.lx) ** m.u if m.u else np.ones_like(offsets)
-    qy = (offsets * s.ly) ** m.v if m.v else np.ones_like(offsets)
+    if u < 0 or v < 0:
+        raise ValueError("powers must be non-negative")
+    if u + v > 7:
+        raise ValueError(f"total degree {u + v} exceeds 7")
+    offsets = np.arange(-s.radius, s.radius + 1, dtype=np.float64)
+    px = (offsets * s.lx) ** u if u else np.ones_like(offsets)
+    qy = (offsets * s.ly) ** v if v else np.ones_like(offsets)
     # coeffs rows index q, columns index p
     return float(np.sum(s.coeffs * np.outer(qy, px)))
 
@@ -201,7 +190,7 @@ def validate_stencil(s: Stencil) -> ValidationReport:
     for total in range(5):
         for u in range(total + 1):
             v = total - u
-            resp = monomial_response(s, Monomial(u, v))
+            resp = monomial_response(s, u, v)
             responses[(u, v)] = resp
             if total <= 3 and abs(resp) >= 1e-10 * scale:
                 cubic_ok = False

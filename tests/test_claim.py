@@ -46,7 +46,7 @@ def mean_residual(k):
     """(2k+1)^2 times the pixel minus its (2k+1)x(2k+1) mean."""
     coeffs = np.full((2 * k + 1, 2 * k + 1), -1.0)
     coeffs[k, k] = (2 * k + 1) ** 2 - 1
-    return Stencil(k, coeffs)
+    return Stencil(coeffs)
 
 
 def test_3x3_mean_residual_is_the_laplacian():

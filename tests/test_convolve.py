@@ -247,7 +247,7 @@ def test_linearity_within_4_ulp(rng):
     rhs = a * c1 + b * c2
     # rounding floor set by the summed absolute tap contributions, which
     # cancellation can leave far larger than the result itself
-    abs_stencil = Stencil(radius=s.radius, coeffs=np.abs(s.coeffs))
+    abs_stencil = Stencil(np.abs(s.coeffs))
     scale = (
         abs(a) * convolve(Raster(np.abs(r1)), abs_stencil, Boundary.WRAP).data
         + abs(b) * convolve(Raster(np.abs(r2)), abs_stencil, Boundary.WRAP).data
@@ -340,7 +340,7 @@ def test_runs_across_row_ends_at_the_smallest_widths(shape, policy, rng):
 
 def test_all_zero_stencil_gives_positive_zeros():
     data = np.full((6, 7), -0.0)
-    s = Stencil(radius=1, coeffs=np.zeros((3, 3)))
+    s = Stencil(np.zeros((3, 3)))
     ref = convolve_reference(Raster(data), s, Boundary.ZERO).data.tobytes()
     assert convolve(Raster(data), s, Boundary.ZERO, 4, 2).data.tobytes() == ref
 

@@ -59,7 +59,7 @@ def test_jacobi_planar_ramp_unchanged_interior():
 
 
 def test_jacobi_rejects_zero_center():
-    s = Stencil(radius=1, coeffs=np.zeros((3, 3)))
+    s = Stencil(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="center"):
         smooth_jacobi(Raster.constant(8, 8), s, 1, Boundary.ZERO)
 
@@ -67,6 +67,14 @@ def test_jacobi_rejects_zero_center():
 def test_jacobi_rejects_bad_iterations():
     with pytest.raises(ValueError, match="iterations"):
         smooth_jacobi(Raster.constant(8, 8), BH, 0, Boundary.ZERO)
+
+
+def test_jacobi_rejects_non_integer_iterations_before_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            smooth_jacobi(Raster(np.ones((8, 8))), BH, 1.5)
+    assert str(info.value) == "iterations must be an integer, got 1.5"
 
 
 def test_jacobi_default_omega_is_plain_sweep(rng):
@@ -98,13 +106,13 @@ def test_jacobi_stable_or_single_sweep_does_not_warn(iterations, omega):
 
 # a 3x3 stencil whose symbol runs from -4 to 8: with center 4, one sweep
 # multiplies the zero frequency by 1 + omega, so no omega > 0 is stable
-GROWTH = Stencil(1, [[-1, -1, -1], [-1, 4, -1], [-1, -1, -1]])
+GROWTH = Stencil([[-1, -1, -1], [-1, 4, -1], [-1, -1, -1]])
 
 
 @pytest.mark.parametrize("stencil,omega,message", [
     # the symbol of the negated template is -A and its center -20: the same
     # factors, and the same sweeps, as the unit template's
-    (Stencil(2, -BH.coeffs), 1.0,
+    (Stencil(-BH.coeffs), 1.0,
      "Jacobi iteration diverges: each of the 3 sweeps with omega=1 multiplies "
      "the highest frequency by -2.2 (stable for omega < 0.625)"),
     (GROWTH, 0.5,
@@ -123,7 +131,7 @@ def test_jacobi_warns_for_every_factor_outside_unit_range(stencil, omega, messag
 @pytest.mark.parametrize("stencil,iterations,omega", [
     (laplacian_baseline(), 5, 1.0),
     (GROWTH, 1, 0.5),
-    (Stencil(2, -BH.coeffs), 1, 1.0),
+    (Stencil(-BH.coeffs), 1, 1.0),
 ])
 def test_jacobi_bounded_factors_or_single_sweep_do_not_warn(stencil, iterations, omega):
     with warnings.catch_warnings():

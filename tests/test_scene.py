@@ -360,6 +360,9 @@ NAN, INF = float("nan"), float("inf")
     ("sigma", -1.0, "sigma must be finite and non-negative"),
     ("trend", (NAN, 0.0), "trend slopes must be finite"),
     ("trend", (0.0, -INF), "trend slopes must be finite"),
+    ("trend", (0.1,), "trend needs 2 slopes"),
+    ("trend", (0.1, 0.2, 0.3), "trend needs 2 slopes"),
+    ("seed", 1.5, "seed must be an integer"),
     ("seed", -1, "seed must be in"),
     ("seed", 2**64, "seed must be in"),
     ("width", 0, "^scene dimensions must be positive$"),
