@@ -186,7 +186,7 @@ def _cmd_classify(args):
     bands = load_bandset(args.in_path)
     roi = _load_single(args.roi, "--roi")
     model = fit_parallelepiped(bands, roi)
-    top = max(model.class_ids())
+    top = max(model.intervals)
     if top > 255:
         raise ValueError(f"ROI class id {top} does not fit the 8-bit label PGM (at most 255)")
     labels = classify_parallelepiped(bands, model)

@@ -134,21 +134,16 @@ class DetectionMetrics:
     overall_accuracy: float
     auc: float
 
-    @classmethod
-    def from_counts(cls, tp, fp, tn, fn, auc):
-        total = tp + fp + tn + fn
-        precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 1.0
-        accuracy = (tp + tn) / total if total > 0 else 1.0
-        return cls(tp, fp, tn, fn, precision, recall, accuracy, auc)
-
 
 def ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     """Mann-Whitney AUC of |scores| against the binary truth, ties averaged.
 
     Degenerate truth (single class) yields 0.5: the ranking is untestable.
+    Scores and truth must have the same size, and NaN scores raise.
     """
     truth = np.asarray(truth, dtype=bool).ravel()
+    if np.size(scores) != truth.size:
+        raise ValueError(f"{np.size(scores)} scores for {truth.size} truth pixels")
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -163,6 +158,8 @@ def ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     # N (N + 1) / 2 < 2^52, and float64 holds every multiple of 0.5 below 2^52.
     positives = np.sort(values[truth])
     values.sort()  # in place: `values` is the fresh array np.abs made
+    if np.isnan(values[-1]):  # sorted last
+        raise ValueError("scores must not be NaN")
     starts = np.searchsorted(values, positives, "left")
     ends = np.searchsorted(values, positives, "right")
     rank_sum = int((starts + ends + 1).sum()) / 2
@@ -183,7 +180,10 @@ def detector_metrics(m: AnomalyMap, truth: Raster, k_sigma: float = 3.0) -> Dete
     fp = flagged - tp
     fn = positive - tp
     tn = t.size - flagged - fn
-    return DetectionMetrics.from_counts(tp, fp, tn, fn, auc)
+    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 1.0
+    accuracy = (tp + tn) / t.size
+    return DetectionMetrics(tp, fp, tn, fn, precision, recall, accuracy, auc)
 
 
 def compare_detectors(
@@ -209,9 +209,10 @@ def compare_detectors(
     return metrics[0], metrics[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassModel:
-    """Per-class, per-band [lo, hi] boxes. intervals[class_id] has shape (bands, 2)."""
+    """Per-class, per-band [lo, hi] boxes. ``intervals`` holds a read-only
+    float64 copy of each box, of shape (bands, 2), in ascending class id order."""
 
     band_count: int
     intervals: dict
@@ -219,19 +220,20 @@ class ClassModel:
     def __post_init__(self):
         if self.band_count < 1:
             raise ValueError("band_count must be positive")
-        for cid, box in self.intervals.items():
+        boxes = {}
+        for cid in sorted(self.intervals):
             if cid < 1:
                 raise ValueError(f"class ids must be positive, got {cid}")
-            box = np.asarray(box, dtype=np.float64)
+            box = np.array(self.intervals[cid], dtype=np.float64)
             if box.shape != (self.band_count, 2):
                 raise ValueError(
                     f"class {cid}: expected {(self.band_count, 2)} intervals, got {box.shape}"
                 )
             if np.any(box[:, 0] > box[:, 1]):
                 raise ValueError(f"class {cid}: interval with lo > hi")
-
-    def class_ids(self):
-        return sorted(self.intervals)
+            box.setflags(write=False)
+            boxes[cid] = box
+        object.__setattr__(self, "intervals", boxes)
 
 
 def fit_parallelepiped(b: BandSet, roi_labels: Raster) -> ClassModel:
@@ -247,11 +249,11 @@ def fit_parallelepiped(b: BandSet, roi_labels: Raster) -> ClassModel:
     fractional = values[values != np.floor(values)]
     if fractional.size:
         raise ValueError(f"ROI label {float(fractional[0])!r} is not an integer")
-    class_ids = [int(c) for c in values if c > 0]
-    if not class_ids:
+    ids = [int(c) for c in values if c > 0]
+    if not ids:
         raise ValueError("ROI contains no labeled pixels")
     intervals = {}
-    for cid in class_ids:
+    for cid in ids:
         sel = labels == cid
         box = np.empty((len(b), 2))
         for bi, band in enumerate(b):
@@ -270,11 +272,10 @@ def classify_parallelepiped(b: BandSet, m: ClassModel) -> Raster:
     if len(b) != m.band_count:
         raise ValueError(f"band set has {len(b)} bands, model expects {m.band_count}")
     labels = np.zeros((b.height, b.width))
-    boxes = [(cid, np.asarray(m.intervals[cid], dtype=np.float64)) for cid in m.class_ids()]
     for row0 in range(0, b.height, DEFAULT_TILE_HEIGHT):
         rows = slice(row0, row0 + DEFAULT_TILE_HEIGHT)
         out = labels[rows]
-        for cid, box in boxes:
+        for cid, box in m.intervals.items():
             inside = out == 0
             for bi, band in enumerate(b):
                 strip = band.data[rows]

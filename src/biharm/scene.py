@@ -200,7 +200,7 @@ class SceneSpec:
 
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse the key=value scene description (see README for the grammar)."""
-    fields = {"anomalies": []}
+    fields, anomalies = {}, []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,9 +208,12 @@ def parse_scene_spec(text: str) -> SceneSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        name = "band_count" if key == "bands" else key
         try:
+            if name in fields:  # every key but anomaly is set at most once
+                raise ValueError(f"duplicate key {key!r}")
             if key in ("width", "height", "bands", "seed"):
-                fields["band_count" if key == "bands" else key] = int(value)
+                fields[name] = int(value)
             elif key in ("level", "sigma"):
                 fields[key] = float(value)
             elif key == "trend":
@@ -219,16 +222,15 @@ def parse_scene_spec(text: str) -> SceneSpec:
                     raise ValueError("trend needs 2 slopes")
                 fields["trend"] = (float(parts[0]), float(parts[1]))
             elif key == "anomaly":
-                fields["anomalies"].append(_parse_anomaly(value))
+                anomalies.append(_parse_anomaly(value))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    fields["anomalies"] = tuple(fields["anomalies"])
     missing = {"width", "height"} - fields.keys()
     if missing:
         raise ValueError(f"missing required keys: {sorted(missing)}")
-    return SceneSpec(**fields)
+    return SceneSpec(**fields, anomalies=tuple(anomalies))
 
 
 def _parse_anomaly(value: str):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stencil:
     """Square odd-sized coefficient grid plus the grid increments that generated it.
 

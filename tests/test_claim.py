@@ -12,13 +12,15 @@ trend at sigma 2 and 8. The trended fixture with its two anomalies swapped
 for two disks of one radius shows how the finding turns with the anomaly
 scale. Global RX, the standard multiband detector, scores each seed's three
 bands at once against each spatial detector's best band, on all eleven
-scenes. The counts are what was measured, the losing ones included; a change
-to any of them is a change to the finding.
+scenes. Six textured scenes add two smooth random fields, mixed with other
+gains into each band, to three of them; there local RX is the control too.
+The counts are what was measured, the losing ones included; a change to any
+of them is a change to the finding.
 
 Every test reads one table, ``_aucs``, built once per session: per scene
-and seed, the RX AUC and each band's AUC under each detector. Sweeps and
-filters run on one worker: on 96x96 bands a pool costs more than the pass,
-and the output does not depend on the worker count.
+and seed, the RX and local RX AUCs and each band's AUC under each detector.
+Sweeps and filters run on one worker: on 96x96 bands a pool costs more than
+the pass, and the output does not depend on the worker count.
 """
 import dataclasses
 import functools
@@ -29,7 +31,8 @@ import pytest
 
 from biharm.convolve import Boundary, convolve
 from biharm.pipeline import anomaly_residual, ranking_auc, smooth_jacobi
-from biharm.scene import Disk, parse_scene_spec, synth_scene
+from biharm.raster import Raster
+from biharm.scene import Disk, gaussian, parse_scene_spec, substream_seed, synth_scene
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline, omega_auto
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -94,6 +97,30 @@ RX_SCENES = {
     **{f"r{r}-sigma{s:g}": _disks(r, s) for r, s in DISK_COUNTS},
 }
 
+# per band: the gains of the two texture fields
+TEXTURE_GAINS = ((1.0, 0.2), (0.3, 1.0), (0.7, -0.6))
+# textured scene name -> (the scene it textures, the fields' SD A)
+TEXTURED = {f"{base}-A{a}": (base, a)
+            for base in ("trend-sigma2", "r2.5-sigma2", "r5-sigma2") for a in (20, 60)}
+
+
+@functools.cache
+def _smooth_noise(seed, index, h, w):
+    """60 sweeps at ``omega_auto`` of the white noise of substream ``index``."""
+    noise = Raster._from_array(gaussian(substream_seed(seed, index), h * w).reshape(h, w))
+    return smooth_jacobi(noise, BH, 60, Boundary.MIRROR, workers=1, omega=omega_auto(BH)).data
+
+
+def _texture(bands, seed, amplitude):
+    """``bands`` with ``g1 f1 + g2 f2`` added to each, ``(g1, g2)`` its row of
+    ``TEXTURE_GAINS``. The fields f1 and f2 are the scene seed's
+    ``_smooth_noise`` of substreams 3 and 4 (its bands use 0-2), each scaled
+    to SD ``amplitude``."""
+    f1, f2 = (f * (amplitude / f.std())
+              for f in (_smooth_noise(seed, i, bands.height, bands.width) for i in (3, 4)))
+    return [Raster._from_array(band.data + g1 * f1 + g2 * f2)
+            for band, (g1, g2) in zip(bands, TEXTURE_GAINS)]
+
 
 def rx(bands):
     """Global RX (Reed and Yu, 1990): each pixel's squared Mahalanobis
@@ -102,6 +129,34 @@ def rx(bands):
     x = np.stack([band.data.ravel() for band in bands])
     d = x - x.mean(axis=1, keepdims=True)
     return np.einsum("in,ij,jn->n", d, np.linalg.inv(np.cov(x)), d)
+
+
+def local_rx(bands, outer=10, guard=5):
+    """Local RX (Matteoli et al., 2010): each pixel's squared Mahalanobis
+    distance from the mean band vector of its background, under that
+    background's band covariance. The background is the ring of pixels
+    inside the (2 outer + 1)^2 window and outside the (2 guard + 1)^2 guard
+    window centred on the pixel: at 21x21 and 11x11, 320 pixels, and the
+    guard centred on a disk of radius 5 holds all of it. Ring sums of the bands and their
+    products come from ``convolve`` (mirror boundary); the 3x3 inverses
+    from one batched ``np.linalg.inv``."""
+    ring = np.ones((2 * outer + 1, 2 * outer + 1))
+    ring[outer - guard:outer + guard + 1, outer - guard:outer + guard + 1] = 0.0
+    ring = Stencil(ring)
+    count = ring.coeffs.sum()
+
+    def mean(a):
+        return convolve(Raster._from_array(a), ring, Boundary.MIRROR, workers=1).data / count
+
+    x = np.stack([band.data for band in bands], axis=-1)
+    mu = np.stack([mean(band.data) for band in bands], axis=-1)
+    n = x.shape[-1]
+    cov = np.empty(x.shape + (n,))
+    for i in range(n):
+        for j in range(i, n):
+            cov[..., i, j] = cov[..., j, i] = mean(x[..., i] * x[..., j]) - mu[..., i] * mu[..., j]
+    d = x - mu
+    return np.einsum("...i,...ij,...j->...", d, np.linalg.inv(cov), d)
 
 
 def _band_aucs(band, anomalous, every_detector):
@@ -136,13 +191,19 @@ def _band_aucs(band, anomalous, every_detector):
 
 @functools.cache
 def _aucs(name):
-    """Per seed of scene ``name``: the RX AUC of its three bands, and each
-    band's ``_band_aucs``."""
+    """Per seed of scene ``name``: the RX AUC of its three bands, their local
+    RX AUC on the textured scenes (else None), and each band's
+    ``_band_aucs``."""
+    base, amplitude = TEXTURED.get(name, (name, 0))
     rows = []
     for seed in SEEDS:
-        bands, truth = synth_scene(dataclasses.replace(RX_SCENES[name], seed=seed))
+        bands, truth = synth_scene(dataclasses.replace(RX_SCENES[base], seed=seed))
         anomalous = truth.data != 0.0
-        rows.append((ranking_auc(rx(bands), anomalous),
+        local = None
+        if amplitude:
+            bands = _texture(bands, seed, amplitude)
+            local = ranking_auc(local_rx(bands), anomalous)
+        rows.append((ranking_auc(rx(bands), anomalous), local,
                      [_band_aucs(band, anomalous, name in CLAIM_COUNTS) for band in bands]))
     return rows
 
@@ -150,7 +211,7 @@ def _aucs(name):
 @pytest.mark.parametrize("name", list(CLAIM_COUNTS))
 def test_detector_claim_counts(name):
     wins = dict.fromkeys(CLAIM_COUNTS[name], 0)
-    for _, bands in _aucs(name):
+    for _, _, bands in _aucs(name):
         for aucs in bands:
             for detector in wins:
                 against = "100 damped" if detector in AGAINST_SWEEPS else "Laplacian"
@@ -162,11 +223,19 @@ def test_detector_claim_counts(name):
                          ids=[f"r{r}-sigma{s:g}" for r, s in DISK_COUNTS])
 def test_detector_claim_counts_by_disk_radius(radius, sigma):
     beats_mean, beats_laplacian = 0, 0
-    for _, bands in _aucs(f"r{radius}-sigma{sigma:g}"):
+    for _, _, bands in _aucs(f"r{radius}-sigma{sigma:g}"):
         for aucs in bands:
             beats_mean += aucs["100 damped"] > aucs["5x5 mean residual"]
             beats_laplacian += aucs["100 damped"] > aucs["Laplacian"]
     assert (beats_mean, beats_laplacian) == DISK_COUNTS[radius, sigma]
+
+
+SPATIAL = ("100 damped", "5x5 mean residual", "Laplacian")
+
+
+def _best(bands):
+    """Each of ``SPATIAL``'s AUCs on its best band."""
+    return [max(aucs[d] for aucs in bands) for d in SPATIAL]
 
 
 # per scene: for how many of the 4 seeds RX on the three bands beats the best
@@ -177,6 +246,9 @@ RX_COUNTS = {
     "r2.5-sigma2": (4, 4, 4), "r2.5-sigma8": (4, 3, 4),
     "r5-sigma2": (4, 4, 4), "r5-sigma8": (4, 4, 4),
     "r8-sigma2": (4, 4, 4), "r8-sigma8": (4, 4, 4),
+    "trend-sigma2-A20": (3, 2, 3), "trend-sigma2-A60": (1, 1, 0),
+    "r2.5-sigma2-A20": (3, 3, 3), "r2.5-sigma2-A60": (1, 1, 0),
+    "r5-sigma2-A20": (4, 4, 4), "r5-sigma2-A60": (1, 1, 0),
 }
 
 
@@ -192,8 +264,31 @@ def test_rx_control_counts(name):
     trend is the same in each, so the band covariance holds little that
     looks like an anomaly."""
     wins = [0, 0, 0]
-    for rx_auc, bands in _aucs(name):
-        best = [max(aucs[d] for aucs in bands)
-                for d in ("100 damped", "5x5 mean residual", "Laplacian")]
-        wins = [n + (rx_auc > b) for n, b in zip(wins, best)]
+    for rx_auc, _, bands in _aucs(name):
+        wins = [n + (rx_auc > b) for n, b in zip(wins, _best(bands))]
     assert tuple(wins) == RX_COUNTS[name]
+
+
+# per textured scene: in how many of the 12 cases 100 damped sweeps beat the
+# 5x5 mean residual and the Laplacian; for how many of the 4 seeds local RX
+# beats the best band of each of ``SPATIAL``, and global RX
+TEXTURED_COUNTS = {
+    "trend-sigma2-A20": ((2, 6), (3, 2, 3, 2)), "trend-sigma2-A60": ((5, 1), (2, 2, 0, 3)),
+    "r2.5-sigma2-A20": ((1, 6), (3, 3, 4, 2)), "r2.5-sigma2-A60": ((5, 1), (2, 3, 0, 3)),
+    "r5-sigma2-A20": ((5, 6), (4, 4, 4, 0)), "r5-sigma2-A60": ((6, 0), (4, 4, 0, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(TEXTURED_COUNTS))
+def test_textured_scene_counts(name):
+    """Texture at the anomalies' scale that differs across the bands takes
+    away what favours global RX on the untextured scenes. Local RX, whose
+    statistics follow the texture, is the existing-method control here."""
+    sweeps, local = [0, 0], [0, 0, 0, 0]
+    for rx_auc, local_auc, bands in _aucs(name):
+        for aucs in bands:
+            sweeps = [n + (aucs["100 damped"] > aucs[d])
+                      for n, d in zip(sweeps, ("5x5 mean residual", "Laplacian"))]
+        local = [n + (local_auc > b) for n, b in zip(local, _best(bands) + [rx_auc])]
+    assert (tuple(sweeps), tuple(local)) == TEXTURED_COUNTS[name]
+

@@ -828,6 +828,7 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     ("bands = 100000000000000000000",
      "BFR1 output holds at most 4294967295 bands, have 100000000000000000000"),
     ("bogus", "line 4: expected key = value, got 'bogus'"),
+    ("width = 8", "line 4: duplicate key 'width'"),
     ("trend = 1", "line 4: trend needs 2 slopes"),
     ("anomaly = disk 1 2 3", "line 4: disk needs: disk cx cy radius amp..."),
     ("anomaly = rect 1 2 3 4", "line 4: rect needs: rect x0 y0 width height amp..."),
@@ -838,7 +839,8 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
 ])
 def test_synth_spec_numbers_exit_1(line, message, tmp_path, capsys):
     spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"
-    spec.write_text(f"width = 16\nheight = 16\nlevel = 5\n{line}\n")
+    # a comment keeps each case on line 4 and repeats no key
+    spec.write_text(f"width = 16\nheight = 16\n# the case\n{line}\n")
     assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"biharm: error: {message}\n"
     assert not out.exists()

@@ -418,6 +418,17 @@ def test_auc_uses_magnitude():
     assert ranking_auc(scores, truth) == 1.0
 
 
+@pytest.mark.parametrize("scores,message", [
+    # a NaN positive would score 1.0, a NaN negative 0.0
+    (np.array([np.nan, 1.0, 2.0, 3.0]), "scores must not be NaN"),
+    (np.array([1.0, 2.0, 3.0]), "3 scores for 4 truth pixels"),
+])
+def test_auc_rejects_nan_and_size_mismatch(scores, message):
+    with pytest.raises(ValueError) as info:
+        ranking_auc(scores, [1, 0, 0, 0])
+    assert str(info.value) == message
+
+
 def _auc_unique_ranks(scores, truth):
     """The former np.unique formulation of ranking_auc: average ranks of every
     pixel, gathered at the truth pixels."""
@@ -629,8 +640,7 @@ def _classify_whole_raster(b, m):
     """The whole-raster loop the strips replaced: every class tests the full
     bands, and the lowest id wins."""
     labels = np.zeros((b.height, b.width))
-    for cid in m.class_ids():
-        box = np.asarray(m.intervals[cid], dtype=np.float64)
+    for cid, box in m.intervals.items():
         inside = np.ones((b.height, b.width), dtype=bool)
         for bi, band in enumerate(b):
             inside &= (band.data >= box[bi, 0]) & (band.data <= box[bi, 1])
@@ -694,6 +704,30 @@ def test_class_model_validation():
     with pytest.raises(ValueError) as info:
         ClassModel(band_count=2, intervals={1: [[0.0, 1.0]]})
     assert str(info.value) == "class 1: expected (2, 2) intervals, got (1, 2)"
+
+
+def test_class_model_holds_read_only_copies_in_id_order():
+    box = [[0.0, 1.0]]
+    intervals = {3: box, 1: np.array([[2, 5]])}
+    model = ClassModel(band_count=1, intervals=intervals)
+    assert list(model.intervals) == [1, 3]
+    for got in model.intervals.values():
+        assert got.dtype == np.float64 and not got.flags.writeable
+    intervals[2] = [[0.0, 9.0]]
+    intervals[1][0, 1] = 9
+    box[0][1] = 9.0
+    assert list(model.intervals) == [1, 3]
+    assert model.intervals[1].tolist() == [[2.0, 5.0]]
+    assert model.intervals[3].tolist() == [[0.0, 1.0]]
+
+
+def test_stencil_and_class_model_compare_by_identity():
+    # value equality over an array field raised ValueError, and hash TypeError
+    assert biharmonic_stencil() != biharmonic_stencil()
+    assert BH == BH
+    model = ClassModel(band_count=1, intervals={1: np.array([[0.0, 1.0]])})
+    assert model != ClassModel(band_count=1, intervals={1: np.array([[0.0, 1.0]])})
+    assert len({BH, biharmonic_stencil(), model, model}) == 3
 
 
 def test_overall_accuracy_basics():

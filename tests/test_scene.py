@@ -102,6 +102,10 @@ def test_parse_errors():
         parse_scene_spec("width = 4\nheight = 4\nnope = 1\n")
     with pytest.raises(ValueError, match="unknown anomaly shape"):
         parse_scene_spec("width = 4\nheight = 4\nanomaly = blob 1 2 3 4\n")
+    # a repeated key would override the earlier one; only anomaly repeats
+    with pytest.raises(ValueError) as info:
+        parse_scene_spec("width = 4\nheight = 4\nseed = 1\nseed = 2\n")
+    assert str(info.value) == "line 4: duplicate key 'seed'"
 
 
 def test_gaussian_moments():
