@@ -14,7 +14,6 @@ if "numpy" not in sys.modules:
 from .convolve import Boundary, convolve, convolve_reference
 from .formats import (
     FormatError,
-    UnsupportedFormatError,
     load_bandset,
     load_pgm,
     save_bandset,
@@ -61,7 +60,6 @@ __all__ = [
     "Rect",
     "SceneSpec",
     "Stencil",
-    "UnsupportedFormatError",
     "ValidationReport",
     "anomaly_highpass",
     "anomaly_residual",

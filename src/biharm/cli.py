@@ -36,11 +36,11 @@ def _load_single(path, flag) -> Raster:
     return bands[0]
 
 
-def _minmax_scaled(r: Raster, maxval: int = 255) -> Raster:
+def _minmax_scaled(r: Raster) -> Raster:
     lo, hi = float(r.data.min()), float(r.data.max())
     if hi == lo:
         return Raster._from_array(np.zeros_like(r.data))
-    return Raster._from_array((r.data - lo) / (hi - lo) * maxval)
+    return Raster._from_array((r.data - lo) / (hi - lo) * 255)
 
 
 def _check_output_bands(count: int, path) -> None:
@@ -66,7 +66,7 @@ def _make_stencil(args):
     return biharmonic_stencil(args.lx, args.ly)
 
 
-def _emit_report(lines, path):
+def _emit_report(lines, path=None):
     text = "".join(f"{k}={v}\n" for k, v in lines)
     if path:
         with open(path, "w") as fh:
@@ -118,7 +118,7 @@ def _cmd_stencil(args):
     elif not args.validate:
         print(s.format_grid())
     if args.validate:
-        _emit_report([("stencil", args.stencil)] + _validation_lines(s), None)
+        _emit_report([("stencil", args.stencil)] + _validation_lines(s))
     return 0
 
 
@@ -197,7 +197,7 @@ def _cmd_classify(args):
         accuracy = overall_accuracy(labels, _load_single(args.truth, "--truth"))
     save_pgm(labels, args.out_path, 255)
     if accuracy is not None:
-        print(f"overall_accuracy={accuracy!r}")
+        _emit_report([("overall_accuracy", repr(accuracy))])
     return 0
 
 
@@ -216,9 +216,7 @@ def _cmd_synth(args):
 
 def _cmd_bench(args):
     w, h = args.size
-    results = bench_mod.run_benchmark(w, h, args.iters, args.workers)
-    for key, value in results.items():
-        print(f"{key}={value}")
+    _emit_report(bench_mod.run_benchmark(w, h, args.iters, args.workers).items())
     return 0
 
 

@@ -17,10 +17,6 @@ class FormatError(ValueError):
     """Malformed or truncated image file."""
 
 
-class UnsupportedFormatError(FormatError):
-    """Recognized container but unsupported parameters (e.g. maxval)."""
-
-
 # one PGM token: skip whitespace and #-to-end-of-line comments, then capture
 # the next run of non-space, non-# bytes; empty only at the end of the data
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]*)")
@@ -92,7 +88,7 @@ def _parse_pgm(data: bytes) -> Raster:
     if width < 1 or height < 1:
         raise FormatError(f"parse error: non-positive dimensions {width}x{height}")
     if maxval < 1 or maxval > 65535:
-        raise UnsupportedFormatError(f"unsupported maxval {maxval}")
+        raise FormatError(f"unsupported maxval {maxval}")
     count = width * height
     if magic == b"P2":
         arr = _p2_fast(data, pos, count, maxval)

@@ -8,7 +8,8 @@ class Raster:
     """Single-band 2-D grid of float64 samples, row 0 at top.
 
     Treated as immutable after construction: the backing array is marked
-    read-only, so instances are safe to share across threads.
+    read-only, also in a pickled or copied raster, which is rebuilt through
+    the constructor, so instances are safe to share across threads.
     """
 
     __slots__ = ("data",)
@@ -35,9 +36,8 @@ class Raster:
         self._install(np.asarray(arr, dtype=np.float64))
         return self
 
-    @classmethod
-    def constant(cls, width: int, height: int, value: float = 0.0) -> "Raster":
-        return cls._from_array(np.full((height, width), float(value)))
+    def __reduce__(self):
+        return (Raster, (self.data,))
 
     @property
     def width(self) -> int:

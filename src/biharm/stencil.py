@@ -1,7 +1,7 @@
 """Closed-form high-pass stencils: the 5x5 biharmonic template and the 3x3 Laplacian."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,8 +168,8 @@ class ValidationReport:
     max_symmetry_violation: float
     symbol_range: tuple
     jacobi_range: tuple
-    monomial_responses: dict = field(default_factory=dict)
-    passed: bool = False
+    monomial_responses: dict
+    passed: bool
 
 
 def validate_stencil(s: Stencil) -> ValidationReport:

@@ -2,6 +2,8 @@ import builtins
 import collections
 import dataclasses
 import os
+import re
+import shlex
 import struct
 import tracemalloc
 import warnings
@@ -147,7 +149,7 @@ def test_tile_height_is_not_an_option(command, tmp_path, capsys):
     # the engine always tiles at DEFAULT_TILE_HEIGHT; the library keeps the
     # parameter
     src, truth, out = tmp_path / "in.bfr", tmp_path / "truth.pgm", tmp_path / "o.bfr"
-    save_bandset(BandSet([Raster.constant(16, 16, 80.0)]), src)
+    save_bandset(BandSet([Raster(np.full((16, 16), 80.0))]), src)
     save_pgm(Raster(np.zeros((16, 16))), truth, 255)
     io = {
         "smooth": ["--in", str(src), "--out", str(out)],
@@ -285,7 +287,7 @@ def test_runtime_error_exit_1(tmp_path, capsys):
 
 def test_detect_residual_on_constant_input(tmp_path):
     src = tmp_path / "c.bfr"
-    save_bandset(BandSet([Raster.constant(16, 12, 80.0)]), src)
+    save_bandset(BandSet([Raster(np.full((12, 16), 80.0))]), src)
     out = tmp_path / "scores.bfr"
     mask = tmp_path / "mask.pgm"
     assert run(["detect", "--in", str(src), "--out", str(out),
@@ -308,7 +310,7 @@ def test_detect_pgm_out_is_the_map_scaled_to_0_255(tmp_path, rng):
 
 def test_detect_pgm_out_of_a_constant_map_is_zero(tmp_path):
     src, out = tmp_path / "in.pgm", tmp_path / "scores.pgm"
-    save_pgm(Raster.constant(9, 7, 80.0), src)
+    save_pgm(Raster(np.full((7, 9), 80.0)), src)
     assert run(["detect", "--in", str(src), "--out", str(out)]) == 0
     assert out.read_bytes() == b"P5\n9 7\n255\n" + bytes(63)
 
@@ -327,7 +329,7 @@ def test_detect_highpass_laplacian(tmp_path):
 
 def test_smooth_pgm_to_pgm(tmp_path):
     src = tmp_path / "in.pgm"
-    save_pgm(Raster.constant(10, 10, 50.0), src)
+    save_pgm(Raster(np.full((10, 10), 50.0)), src)
     out = tmp_path / "out.pgm"
     with pytest.warns(RuntimeWarning, match="diverges"):
         assert run(["smooth", "--in", str(src), "--out", str(out), "--iters", "2"]) == 0
@@ -523,6 +525,52 @@ def test_synth_outputs_equal_library(seed, workers, tmp_path, monkeypatch):
                 "--truth-out", str(truth_out), *seed_flag]) == 0
     assert out.read_bytes() == want.read_bytes()
     assert truth_out.read_bytes() == want_truth.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["classify", "detect", "synth"])
+def test_label_and_mask_outputs_are_pgm_whatever_their_suffix(command, fixture_scene,
+                                                              tmp_path):
+    """``classify --out``, ``detect --mask-out`` and ``synth --truth-out``
+    write an 8-bit PGM also to a path that does not end in ``.pgm``."""
+    scene, truth = fixture_scene
+    roi = tmp_path / "roi.pgm"
+    roi_labels = np.where(load_pgm(truth).data != 0.0, 2.0, 0.0)
+    roi_labels[:10] = 1.0
+    save_pgm(Raster(roi_labels), roi, 255)
+    argv = {
+        "classify": ["classify", "--in", scene, "--roi", str(roi), "--out"],
+        "detect": ["detect", "--in", scene, "--out", str(tmp_path / "scores.bfr"), "--mask-out"],
+        "synth": ["synth", "--spec", os.path.join(FIXTURES, "compare_scene.txt"),
+                  "--out", str(tmp_path / "scene.bfr"), "--truth-out"],
+    }[command]
+    written = {}
+    for suffix in (".bfr", ".pgm"):
+        path = tmp_path / f"written{suffix}"
+        assert run([*argv, str(path)]) == 0
+        written[suffix] = path.read_bytes()
+    assert written[".bfr"].startswith(b"P5\n") and written[".bfr"] == written[".pgm"]
+
+
+def _readme_commands():
+    """Every ``biharm`` command in README's ``sh`` blocks, as its arguments:
+    ``\\`` continuations joined, ``#`` comments dropped."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    lines = (shlex.split(line, comments=True)
+             for block in blocks for line in block.replace("\\\n", " ").splitlines())
+    return [words[1:] for words in lines if words[:1] == ["biharm"]]
+
+
+def test_readme_commands_parse(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = cli_mod.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: biharm {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 def test_classify_outputs_equal_library(fixture_scene, tmp_path, capsys):
@@ -747,7 +795,7 @@ def test_classify_with_truth(tmp_path, capsys):
 
 def test_classify_non_integer_roi_label_exit_1_without_output(tmp_path, capsys):
     src, roi, out = tmp_path / "in.bfr", tmp_path / "roi.bfr", tmp_path / "labels.pgm"
-    save_bandset(BandSet([Raster.constant(4, 4, 100.0)]), src)
+    save_bandset(BandSet([Raster(np.full((4, 4), 100.0))]), src)
     labels = np.full((4, 4), 2.0)
     labels[0, :2] = 1.5
     save_bandset(BandSet([Raster(labels)]), roi)

@@ -35,7 +35,7 @@ def test_impulse_response_centered():
 @pytest.mark.parametrize("policy", [Boundary.MIRROR, Boundary.REPLICATE, Boundary.WRAP])
 def test_constant_field_zero_response(policy):
     s = biharmonic_stencil(1.0, 1.0)
-    out = convolve_reference(Raster.constant(9, 8, 123.0), s, policy)
+    out = convolve_reference(Raster(np.full((8, 9), 123.0)), s, policy)
     assert np.all(out.data == 0.0)
 
 
@@ -99,7 +99,7 @@ def test_one_worker_starts_no_thread(monkeypatch, rng):
 @pytest.mark.parametrize("call,threads_on_two", [
     (lambda: gaussian(5, 3 * 2**16), 1),  # 3 blocks of pairs
     (lambda: classify_parallelepiped(  # 3 strips of 32 rows
-        BandSet([Raster.constant(5, 70, 1.0)]),
+        BandSet([Raster(np.full((70, 5), 1.0))]),
         ClassModel(band_count=1, intervals={1: np.array([[0.0, 2.0]])})).data, 0),
 ], ids=["gaussian", "classify"])
 def test_one_worker_starts_no_thread_in_noise_or_classify(monkeypatch, call, threads_on_two):
@@ -224,7 +224,7 @@ def test_mirror_too_small_rejected(rng):
 
 def test_bad_tile_height(rng):
     with pytest.raises(ValueError, match="tile_height"):
-        convolve(Raster.constant(8, 8), biharmonic_stencil(1, 1), Boundary.ZERO, tile_height=0)
+        convolve(Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1), Boundary.ZERO, tile_height=0)
     with pytest.raises(ValueError) as info:
         Boundary.parse("bogus")
     assert str(info.value) == "unknown boundary policy 'bogus'"
@@ -233,7 +233,7 @@ def test_bad_tile_height(rng):
 @pytest.mark.parametrize("workers", [0, -2])
 def test_bad_workers(workers):
     with pytest.raises(ValueError, match="workers must be positive"):
-        convolve(Raster.constant(8, 8), biharmonic_stencil(1, 1), Boundary.ZERO, workers=workers)
+        convolve(Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1), Boundary.ZERO, workers=workers)
 
 
 def test_linearity_within_4_ulp(rng):

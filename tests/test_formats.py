@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 import tracemalloc
 from functools import partial
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 from biharm.formats import (
     _TOKEN,
     FormatError,
-    UnsupportedFormatError,
     _p2_fast,
     _p2_tokens,
     _save_mask,
@@ -88,7 +89,7 @@ def test_bad_magic(tmp_path):
 def test_unsupported_maxval(tmp_path, maxval):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n1 1\n%d\n0\n" % maxval)
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(FormatError, match="unsupported maxval"):
         load_pgm(path)
 
 
@@ -363,6 +364,18 @@ def test_raster_rejects_nonfinite():
     assert str(info.value) == "raster dimensions must be positive, got (0, 3)"
 
 
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_pickled_and_copied_rasters_stay_read_only(clone, rng):
+    raster = Raster(rng.normal(0, 1, (3, 4)))
+    bands = BandSet([raster, Raster([[1.0] * 4] * 3)], ["a", "b"])
+    got_raster, got_bands = clone(raster), clone(bands)
+    assert got_bands.band_names == ("a", "b")
+    for got, want in [(got_raster, raster), *zip(got_bands, bands)]:
+        assert got.data.tobytes() == want.data.tobytes() and got.shape == want.shape
+        assert not got.data.flags.writeable
+
+
 def test_bandset_shape_mismatch():
     with pytest.raises(ValueError):
         BandSet([Raster([[1.0]]), Raster([[1.0, 2.0]])])
@@ -434,7 +447,7 @@ def test_save_bandset_bytes_equal_whole_band_casts(tmp_path, rng, height):
 @pytest.mark.parametrize("band", [0, 2])
 def test_bfr1_rejects_nan_in_first_or_last_band(tmp_path, band):
     path = tmp_path / "b.bfr"
-    save_bandset(BandSet([Raster.constant(4, 3, float(i)) for i in range(3)]), path)
+    save_bandset(BandSet([Raster(np.full((3, 4), float(i))) for i in range(3)]), path)
     raw = bytearray(path.read_bytes())
     # band-sequential payload of 3 x 12 float32 samples ends the file
     at = len(raw) - (3 - band) * 12 * 4 + 5 * 4
@@ -449,7 +462,7 @@ def test_bfr1_file_shrinking_after_the_size_check(tmp_path, monkeypatch, cut):
     # the size check passes on the untruncated size; the sample reads then come
     # up short, and what is left in the reused buffer must never become a band
     path = tmp_path / "b.bfr"
-    save_bandset(BandSet([Raster.constant(4, 3, 1.0), Raster.constant(4, 3, 2.0)]), path)
+    save_bandset(BandSet([Raster(np.full((3, 4), 1.0)), Raster(np.full((3, 4), 2.0))]), path)
     full = path.stat().st_size
     path.write_bytes(path.read_bytes()[:-cut])
     monkeypatch.setattr("biharm.formats.os.fstat", lambda fd: SimpleNamespace(st_size=full))
@@ -472,7 +485,7 @@ def test_bfr1_one_band_equals_that_band_of_the_whole_file(tmp_path, rng):
 @pytest.mark.parametrize("band", [-1, 3, 7])
 def test_bfr1_band_out_of_range(tmp_path, band):
     path = tmp_path / "b.bfr"
-    save_bandset(BandSet([Raster.constant(4, 3, float(i)) for i in range(3)]), path)
+    save_bandset(BandSet([Raster(np.full((3, 4), float(i))) for i in range(3)]), path)
     with pytest.raises(IndexError) as info:
         load_bandset(path, band)
     assert str(info.value) == f"band {band} is out of range for 3 band(s)"

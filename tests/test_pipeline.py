@@ -44,7 +44,7 @@ def _map(data):
 
 
 def test_jacobi_constant_fixed_point():
-    r = Raster.constant(10, 9, 42.0)
+    r = Raster(np.full((9, 10), 42.0))
     with pytest.warns(RuntimeWarning, match="diverges"):
         out = smooth_jacobi(r, BH, iterations=3, b=Boundary.REPLICATE)
     assert np.array_equal(out.data, r.data)
@@ -61,12 +61,12 @@ def test_jacobi_planar_ramp_unchanged_interior():
 def test_jacobi_rejects_zero_center():
     s = Stencil(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="center"):
-        smooth_jacobi(Raster.constant(8, 8), s, 1, Boundary.ZERO)
+        smooth_jacobi(Raster(np.zeros((8, 8))), s, 1, Boundary.ZERO)
 
 
 def test_jacobi_rejects_bad_iterations():
     with pytest.raises(ValueError, match="iterations"):
-        smooth_jacobi(Raster.constant(8, 8), BH, 0, Boundary.ZERO)
+        smooth_jacobi(Raster(np.zeros((8, 8))), BH, 0, Boundary.ZERO)
 
 
 def test_jacobi_rejects_non_integer_iterations_before_warning():
@@ -89,19 +89,19 @@ def test_jacobi_default_omega_is_plain_sweep(rng):
 @pytest.mark.parametrize("omega", [0.0, -0.5, float("nan"), float("inf")])
 def test_jacobi_rejects_bad_omega(omega):
     with pytest.raises(ValueError, match="omega"):
-        smooth_jacobi(Raster.constant(8, 8), BH, 1, Boundary.ZERO, omega=omega)
+        smooth_jacobi(Raster(np.zeros((8, 8))), BH, 1, Boundary.ZERO, omega=omega)
 
 
 def test_jacobi_warns_when_repeated_sweeps_diverge():
     with pytest.warns(RuntimeWarning, match=r"diverges.*-2\.2.*0\.625"):
-        smooth_jacobi(Raster.constant(8, 8), BH, 2, Boundary.MIRROR)
+        smooth_jacobi(Raster(np.zeros((8, 8))), BH, 2, Boundary.MIRROR)
 
 
 @pytest.mark.parametrize("iterations,omega", [(1, 1.0), (5, 0.3125), (5, 0.6)])
 def test_jacobi_stable_or_single_sweep_does_not_warn(iterations, omega):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        smooth_jacobi(Raster.constant(8, 8), BH, iterations, Boundary.MIRROR, omega=omega)
+        smooth_jacobi(Raster(np.zeros((8, 8))), BH, iterations, Boundary.MIRROR, omega=omega)
 
 
 # a 3x3 stencil whose symbol runs from -4 to 8: with center 4, one sweep
@@ -124,7 +124,7 @@ GROWTH = Stencil([[-1, -1, -1], [-1, 4, -1], [-1, -1, -1]])
 ])
 def test_jacobi_warns_for_every_factor_outside_unit_range(stencil, omega, message):
     with pytest.warns(RuntimeWarning) as caught:
-        smooth_jacobi(Raster.constant(8, 8), stencil, 3, Boundary.MIRROR, omega=omega)
+        smooth_jacobi(Raster(np.zeros((8, 8))), stencil, 3, Boundary.MIRROR, omega=omega)
     assert [str(w.message) for w in caught] == [message]
 
 
@@ -136,7 +136,7 @@ def test_jacobi_warns_for_every_factor_outside_unit_range(stencil, omega, messag
 def test_jacobi_bounded_factors_or_single_sweep_do_not_warn(stencil, iterations, omega):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        smooth_jacobi(Raster.constant(8, 8), stencil, iterations, Boundary.MIRROR,
+        smooth_jacobi(Raster(np.zeros((8, 8))), stencil, iterations, Boundary.MIRROR,
                       omega=omega)
 
 
@@ -148,7 +148,7 @@ def test_jacobi_factor_one_ulp_above_1_does_not_warn():
     assert jacobi_range(s, omega) == (0.0, 1.0 + 2.0**-52)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        smooth_jacobi(Raster.constant(8, 8), s, 5, Boundary.MIRROR, omega=omega)
+        smooth_jacobi(Raster(np.zeros((8, 8))), s, 5, Boundary.MIRROR, omega=omega)
 
 
 def test_jacobi_growth_stencil_grows_the_mean(rng):
@@ -248,13 +248,13 @@ def test_jacobi_divergence_still_fails_finiteness_check(rng):
 
 
 def test_residual_trivial_cases():
-    r = Raster.constant(6, 6, 9.0)
+    r = Raster(np.full((6, 6), 9.0))
     assert np.all(anomaly_residual(r, r).scores.data == 0.0)
-    shifted = Raster.constant(6, 6, 14.0)
+    shifted = Raster(np.full((6, 6), 14.0))
     out = anomaly_residual(r, shifted)
     assert np.all(out.scores.data == 5.0)
     with pytest.raises(ValueError, match="mismatch"):
-        anomaly_residual(r, Raster.constant(5, 6, 0.0))
+        anomaly_residual(r, Raster(np.zeros((6, 5))))
 
 
 def test_residual_of_impulse_after_one_sweep():
@@ -281,7 +281,7 @@ def test_highpass_impulse_laplacian():
 
 
 def test_highpass_constant_zero():
-    out = anomaly_highpass(Raster.constant(8, 8, 77.0), BH, Boundary.MIRROR)
+    out = anomaly_highpass(Raster(np.full((8, 8), 77.0)), BH, Boundary.MIRROR)
     assert np.all(out.scores.data == 0.0)
 
 
@@ -583,7 +583,7 @@ def test_compare_detectors_shape_mismatch_raises_as_serial_calls(bad):
 
 
 def test_fit_single_class_constant():
-    bands = BandSet([Raster.constant(4, 4, 10.0)])
+    bands = BandSet([Raster(np.full((4, 4), 10.0))])
     roi = Raster(np.ones((4, 4)))
     model = fit_parallelepiped(bands, roi)
     assert np.array_equal(model.intervals[1], [[10.0, 10.0]])
@@ -606,7 +606,7 @@ def test_fit_disjoint_classes_independent():
 
 def test_fit_requires_labels():
     with pytest.raises(ValueError, match="no labeled"):
-        fit_parallelepiped(BandSet([Raster.constant(3, 3)]), Raster(np.zeros((3, 3))))
+        fit_parallelepiped(BandSet([Raster(np.zeros((3, 3)))]), Raster(np.zeros((3, 3))))
 
 
 @pytest.mark.parametrize("label", [1.5, -0.5, 2.0 + 2.0**-40])
@@ -616,12 +616,12 @@ def test_fit_rejects_non_integer_labels(label):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"ROI label {label!r} is not an integer"):
-            fit_parallelepiped(BandSet([Raster.constant(2, 2, 10.0)]), roi)
+            fit_parallelepiped(BandSet([Raster(np.full((2, 2), 10.0))]), roi)
 
 
 def test_fit_accepts_integral_float_labels():
     roi = Raster([[3.0, -1.0], [0.0, 3.0]])
-    model = fit_parallelepiped(BandSet([Raster.constant(2, 2, 10.0)]), roi)
+    model = fit_parallelepiped(BandSet([Raster(np.full((2, 2), 10.0))]), roi)
     assert list(model.intervals) == [3]
 
 
@@ -687,7 +687,7 @@ def test_classify_memory_budget():
 
 
 def test_classify_band_count_mismatch():
-    bands = BandSet([Raster.constant(2, 2), Raster.constant(2, 2)])
+    bands = BandSet([Raster(np.zeros((2, 2))), Raster(np.zeros((2, 2)))])
     model = ClassModel(band_count=1, intervals={1: np.array([[0.0, 1.0]])})
     with pytest.raises(ValueError, match="bands"):
         classify_parallelepiped(bands, model)
@@ -736,7 +736,7 @@ def test_overall_accuracy_basics():
     b = Raster([[1.0, 2.0], [2.0, 1.0]])
     assert overall_accuracy(a, b) == 0.5
     with pytest.raises(ValueError, match="mismatch"):
-        overall_accuracy(a, Raster.constant(3, 2))
+        overall_accuracy(a, Raster(np.zeros((2, 3))))
 
 
 def test_zero_noise_two_class_scene_is_perfect():
