@@ -112,11 +112,14 @@ def _validation_lines(s):
 
 def _cmd_stencil(args):
     s = _make_stencil(args)
+    rows = s.coeffs[::-1]  # q = +radius first
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(s.to_csv())
+            fh.write("".join(",".join("%.17g" % v for v in row) + "\n" for row in rows))
     elif not args.validate:
-        print(s.format_grid())
+        cells = [["%g" % v for v in row] for row in rows]
+        width = max(len(c) for row in cells for c in row)
+        print("\n".join(" ".join(c.rjust(width) for c in row) for row in cells))
     if args.validate:
         _emit_report([("stencil", args.stencil)] + _validation_lines(s))
     return 0

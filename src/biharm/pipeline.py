@@ -222,15 +222,15 @@ class ClassModel:
             raise ValueError("band_count must be positive")
         boxes = {}
         for cid in sorted(self.intervals):
-            if cid < 1:
-                raise ValueError(f"class ids must be positive, got {cid}")
+            if not isinstance(cid, (int, np.integer)) or cid < 1:
+                raise ValueError(f"class ids must be positive integers, got {cid!r}")
             box = np.array(self.intervals[cid], dtype=np.float64)
             if box.shape != (self.band_count, 2):
                 raise ValueError(
                     f"class {cid}: expected {(self.band_count, 2)} intervals, got {box.shape}"
                 )
-            if np.any(box[:, 0] > box[:, 1]):
-                raise ValueError(f"class {cid}: interval with lo > hi")
+            if not np.all(box[:, 0] <= box[:, 1]):
+                raise ValueError(f"class {cid}: interval with lo > hi or a NaN bound")
             box.setflags(write=False)
             boxes[cid] = box
         object.__setattr__(self, "intervals", boxes)

@@ -64,6 +64,20 @@ def test_stencil_csv_export(tmp_path):
     assert grid[2, 2] == 2.0 * (3 + 3 * 81 + 4 * 9) / 81.0
 
 
+def test_stencil_csv_export_17_digits(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["stencil", "--lx", "1", "--ly", "3", "--csv", str(out)]) == 0
+    text = out.read_text()
+    grid = np.array([[float(v) for v in row.split(",")] for row in text.splitlines()])
+    assert np.array_equal(grid, biharmonic_stencil(1.0, 3.0).coeffs[::-1])
+    assert text == (
+        "0,0,0.012345679012345678,0,0\n"
+        "0,0.22222222222222221,-0.49382716049382713,0.22222222222222221,0\n"
+        "1,-4.4444444444444446,6.9629629629629628,-4.4444444444444446,1\n"
+        "0,0.22222222222222221,-0.49382716049382713,0.22222222222222221,0\n"
+        "0,0,0.012345679012345678,0,0\n")
+
+
 def test_stencil_output_without_validate_is_unchanged(capsys):
     assert run(["stencil"]) == 0
     assert capsys.readouterr().out == (
@@ -74,6 +88,13 @@ def test_stencil_output_without_validate_is_unchanged(capsys):
         " 0  0  1  0  0\n")
     assert run(["stencil", "--stencil", "laplacian"]) == 0
     assert capsys.readouterr().out == "-1 -1 -1\n-1  8 -1\n-1 -1 -1\n"
+    assert run(["stencil", "--lx", "0.5", "--ly", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "      0       0  0.0625       0       0\n"
+        "      0       2   -4.25       2       0\n"
+        "     16     -68 104.375     -68      16\n"
+        "      0       2   -4.25       2       0\n"
+        "      0       0  0.0625       0       0\n")
 
 
 @pytest.mark.parametrize("argv,stencil,expected", [

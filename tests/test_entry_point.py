@@ -84,3 +84,14 @@ def test_package_exports_functions_not_submodules():
                          "print(inspect.isfunction(convolve), inspect.isfunction(load_bandset))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True"]
+
+
+def test_benchmark_harness_imports():
+    # the harness imports library names that no other test reads; run from
+    # the repository root, as the benchmark command is
+    root = os.path.dirname(SRC)
+    proc = subprocess.run([sys.executable, "-B", "-c",
+                           "import sys; sys.path.insert(0, 'perfbench'); import run"],
+                          cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -706,6 +706,21 @@ def test_class_model_validation():
     assert str(info.value) == "class 1: expected (2, 2) intervals, got (1, 2)"
 
 
+def test_class_model_rejects_nan_bounds_and_non_integer_ids():
+    for intervals, message in [
+        ({1: [[np.nan, np.nan]]}, "class 1: interval with lo > hi or a NaN bound"),
+        ({1: [[0.0, np.nan]]}, "class 1: interval with lo > hi or a NaN bound"),
+        ({1.5: [[0.0, 2.0]]}, "class ids must be positive integers, got 1.5"),
+        ({1.0: [[0.0, 2.0]]}, "class ids must be positive integers, got 1.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            ClassModel(band_count=1, intervals=intervals)
+        assert str(info.value) == message
+    # infinite bounds and numpy integer ids stay legal
+    model = ClassModel(band_count=1, intervals={np.int64(2): [[-np.inf, np.inf]]})
+    assert list(model.intervals) == [2]
+
+
 def test_class_model_holds_read_only_copies_in_id_order():
     box = [[0.0, 1.0]]
     intervals = {3: box, 1: np.array([[2, 5]])}

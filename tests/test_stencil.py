@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,6 @@ def test_unit_template_exact():
     s = biharmonic_stencil(1.0, 1.0)
     assert s.radius == 2
     assert np.array_equal(s.coeffs, TEMPLATE_UNIT)
-    assert np.array_equal(s.rows_top_down(), TEMPLATE_UNIT)
 
 
 def test_scaling_by_two():
@@ -128,6 +129,20 @@ def test_monomial_degree_cap():
     monomial_response(s, 4, 3)  # degree 7 allowed
 
 
+@pytest.mark.parametrize("u,v", [(1.5, 0), (0, 2.0), (np.float64(1.0), 1)])
+def test_monomial_non_integer_power_rejected(u, v):
+    with pytest.raises(ValueError) as info:
+        monomial_response(biharmonic_stencil(1.0, 1.0), u, v)
+    assert str(info.value) == f"powers must be integers, got u={u!r}, v={v!r}"
+
+
+@pytest.mark.parametrize("p,q", [(-3, 0), (3, 0), (0, -3), (2, 5)])
+def test_coeff_outside_the_grid_rejected(p, q):
+    with pytest.raises(ValueError) as info:
+        biharmonic_stencil(1.0, 1.0).coeff(p, q)
+    assert str(info.value) == f"offset ({p}, {q}) lies outside the stencil's radius 2"
+
+
 def test_validate_passes():
     assert validate_stencil(biharmonic_stencil(1.0, 1.0)).passed
     assert validate_stencil(biharmonic_stencil(1.0, 3.0)).passed
@@ -211,12 +226,15 @@ def test_validate_catches_center_perturbation():
     assert report.zero_sum_residual == 1.0
 
 
-def test_csv_export_17_digits():
-    text = biharmonic_stencil(1.0, 3.0).to_csv()
-    rows = text.strip().split("\n")
-    assert len(rows) == 5
-    grid = np.array([[float(v) for v in row.split(",")] for row in rows])
-    assert np.array_equal(grid, biharmonic_stencil(1.0, 3.0).rows_top_down())
+@pytest.mark.parametrize("lx,ly,digest", [
+    (1.0, 2.0, "d35f1103ab51479156f8431b976b45b20cb280bca803e5ee0032a3c35f1be66b"),
+    (0.5, 2.0, "cc2b08f9b4768beb202f6c0cc5dfd1110ef81b7b7a7fda183b91471b57ee26b3"),
+    (1.307, 0.477, "b55fbfe26f64be261b6969547eb93726bbe6cc649c45c4ae85330927a3a3e4ae"),
+    (1e-50, 1.0, "4acb3ac25e099b29d744971befe4cbd8765d66af92daa77cdf91953f598c2b85"),
+])
+def test_stencil_bytes_pinned(lx, ly, digest):
+    coeffs = biharmonic_stencil(lx, ly).coeffs
+    assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
 
 @settings(max_examples=60, deadline=None)
