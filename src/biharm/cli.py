@@ -76,16 +76,7 @@ def _emit_report(lines, path=None):
 
 
 def _metrics_lines(prefix, m):
-    return [
-        (f"{prefix}_auc", repr(m.auc)),
-        (f"{prefix}_tp", m.tp),
-        (f"{prefix}_fp", m.fp),
-        (f"{prefix}_tn", m.tn),
-        (f"{prefix}_fn", m.fn),
-        (f"{prefix}_precision", repr(m.precision)),
-        (f"{prefix}_recall", repr(m.recall)),
-        (f"{prefix}_overall_accuracy", repr(m.overall_accuracy)),
-    ]
+    return [(f"{prefix}_{f.name}", repr(getattr(m, f.name))) for f in dataclasses.fields(m)]
 
 
 def _validation_lines(s):

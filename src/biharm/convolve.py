@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._kernels import conv_rows
-from .raster import Raster
+from .raster import Raster, _is_int
 from .stencil import Stencil
 
 
@@ -47,6 +47,8 @@ DEFAULT_TILE_HEIGHT = 32
 
 
 def _check_dims(r: Raster, s: Stencil, b: Boundary) -> None:
+    if not isinstance(b, Boundary):
+        raise ValueError(f"boundary must be a Boundary, got {b!r}; use Boundary.parse for a name")
     if b is Boundary.MIRROR:
         need = 2 * s.radius + 1
         if r.width < need or r.height < need:
@@ -87,6 +89,8 @@ def _shares(items: Sequence, run, workers: int | None = None) -> None:
     """
     if workers is None:
         workers = default_workers()
+    if not _is_int(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     n = min(workers, len(items))
@@ -141,6 +145,8 @@ def _sweeps(
     through one ``_shares`` call. Tiles read overlapping padded rows but
     write disjoint rows, so scheduling cannot change results.
     """
+    if not _is_int(tile_height):
+        raise ValueError(f"tile_height must be an integer, got {tile_height!r}")
     if tile_height < 1:
         raise ValueError(f"tile_height must be positive, got {tile_height}")
     _check_dims(r, s, b)

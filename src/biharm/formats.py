@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from .raster import BandSet, Raster
+from .raster import BandSet, Raster, _is_int
 
 BFR_MAGIC = b"BFR1"
 _PGM_STRIP_ROWS = 32
@@ -181,6 +181,8 @@ def save_bandset(b: BandSet, path) -> None:
 
 
 def _check_band(band: int, band_count: int) -> None:
+    if not _is_int(band):
+        raise ValueError(f"band must be an integer, got {band!r}")
     if not 0 <= band < band_count:
         raise IndexError(f"band {band} is out of range for {band_count} band(s)")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _shares, _sweeps, convolve
-from .raster import BandSet, Raster
+from .raster import BandSet, Raster, _is_int
 from .stencil import Stencil, jacobi_range, omega_auto
 
 
@@ -40,7 +40,7 @@ def smooth_jacobi(
     sweep; ``omega_auto(s)`` puts it in [0, 1]. A ``RuntimeWarning``
     is emitted when ``iterations > 1`` and the range leaves [-1, 1].
     """
-    if not isinstance(iterations, (int, np.integer)):
+    if not _is_int(iterations):
         raise ValueError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
@@ -125,6 +125,9 @@ def threshold_mask(m: AnomalyMap, k_sigma: float) -> Raster:
 
 @dataclass(frozen=True)
 class DetectionMetrics:
+    """Detector scores; ``biharm compare`` reports the fields in this order."""
+
+    auc: float
     tp: int
     fp: int
     tn: int
@@ -132,7 +135,6 @@ class DetectionMetrics:
     precision: float
     recall: float
     overall_accuracy: float
-    auc: float
 
 
 def ranking_auc(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -183,7 +185,7 @@ def detector_metrics(m: AnomalyMap, truth: Raster, k_sigma: float = 3.0) -> Dete
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     recall = tp / (tp + fn) if tp + fn > 0 else 1.0
     accuracy = (tp + tn) / t.size
-    return DetectionMetrics(tp, fp, tn, fn, precision, recall, accuracy, auc)
+    return DetectionMetrics(auc, tp, fp, tn, fn, precision, recall, accuracy)
 
 
 def compare_detectors(
@@ -218,11 +220,13 @@ class ClassModel:
     intervals: dict
 
     def __post_init__(self):
+        if not _is_int(self.band_count):
+            raise ValueError(f"band_count must be an integer, got {self.band_count!r}")
         if self.band_count < 1:
             raise ValueError("band_count must be positive")
         boxes = {}
         for cid in sorted(self.intervals):
-            if not isinstance(cid, (int, np.integer)) or cid < 1:
+            if not _is_int(cid) or cid < 1:
                 raise ValueError(f"class ids must be positive integers, got {cid!r}")
             box = np.array(self.intervals[cid], dtype=np.float64)
             if box.shape != (self.band_count, 2):

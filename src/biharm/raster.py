@@ -4,6 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` or a numpy integer; a ``bool`` is not an integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Raster:
     """Single-band 2-D grid of float64 samples, row 0 at top.
 

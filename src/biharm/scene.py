@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .convolve import _shares
-from .raster import BandSet, Raster
+from .raster import BandSet, Raster, _is_int
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -88,7 +88,7 @@ def gaussian(seed: int, count: int) -> np.ndarray:
 
 
 def substream_seed(seed: int, index: int) -> int:
-    z = np.array([(seed ^ ((index + 1) * int(_GOLDEN))) & 0xFFFFFFFFFFFFFFFF],
+    z = np.array([(int(seed) ^ ((index + 1) * int(_GOLDEN))) & 0xFFFFFFFFFFFFFFFF],
                  dtype=np.uint64)
     return int(_mix64(z, np.empty_like(z))[0])
 
@@ -138,7 +138,7 @@ class Rect:
     amplitudes: tuple
 
     def check_bounds(self, width: int, height: int):
-        if not all(isinstance(v, (int, np.integer)) for v in astuple(self)[:4]):
+        if not all(map(_is_int, astuple(self)[:4])):
             raise ValueError(f"rectangle x0, y0, width and height must be integers: {self}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"rectangle must be at least 1x1: {self}")
@@ -167,7 +167,7 @@ class SceneSpec:
 
     def __post_init__(self):
         sizes = (self.width, self.height, self.band_count)
-        if not all(isinstance(v, (int, np.integer)) for v in sizes):
+        if not all(map(_is_int, sizes)):
             raise ValueError(f"scene width, height and band count must be integers, got {sizes}")
         if self.width < 1 or self.height < 1:
             raise ValueError("scene dimensions must be positive")
@@ -183,7 +183,7 @@ class SceneSpec:
             raise ValueError(f"trend needs 2 slopes, got {self.trend!r}")
         if not all(map(math.isfinite, self.trend)):
             raise ValueError(f"trend slopes must be finite, got {self.trend!r}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .raster import _is_int
+
 
 @dataclass(frozen=True, eq=False)
 class Stencil:
@@ -37,6 +39,8 @@ class Stencil:
         return len(self.coeffs) // 2
 
     def coeff(self, p: int, q: int) -> float:
+        if not (_is_int(p) and _is_int(q)):
+            raise ValueError(f"offsets must be integers, got p={p!r}, q={q!r}")
         if max(abs(p), abs(q)) > self.radius:
             raise ValueError(f"offset ({p}, {q}) lies outside the stencil's radius {self.radius}")
         return float(self.coeffs[q + self.radius, p + self.radius])
@@ -77,7 +81,7 @@ def laplacian_baseline() -> Stencil:
 
 def monomial_response(s: Stencil, u: int, v: int) -> float:
     """Stencil applied to x^u * y^v, evaluated at the origin by brute-force sum."""
-    if not all(isinstance(k, (int, np.integer)) for k in (u, v)):
+    if not (_is_int(u) and _is_int(v)):
         raise ValueError(f"powers must be integers, got u={u!r}, v={v!r}")
     if u < 0 or v < 0:
         raise ValueError("powers must be non-negative")

@@ -223,16 +223,32 @@ def test_mirror_too_small_rejected(rng):
 
 
 def test_bad_tile_height(rng):
+    r, s = Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1)
     with pytest.raises(ValueError, match="tile_height"):
-        convolve(Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1), Boundary.ZERO, tile_height=0)
+        convolve(r, s, Boundary.ZERO, tile_height=0)
+    for tile_height in (1.5, True):
+        with pytest.raises(ValueError) as info:
+            convolve(r, s, Boundary.ZERO, tile_height=tile_height)
+        assert str(info.value) == f"tile_height must be an integer, got {tile_height!r}"
     with pytest.raises(ValueError) as info:
         Boundary.parse("bogus")
     assert str(info.value) == "unknown boundary policy 'bogus'"
+    # an engine takes a Boundary, never its name
+    for engine in (convolve, convolve_reference, lambda r, s, b: smooth_jacobi(r, s, 1, b)):
+        with pytest.raises(ValueError) as info:
+            engine(r, s, "mirror")
+        assert str(info.value) == (
+            "boundary must be a Boundary, got 'mirror'; use Boundary.parse for a name")
+    r = Raster(rng.normal(0, 1, (8, 8)))
+    out = convolve(r, s, Boundary.ZERO, tile_height=np.int64(3), workers=np.int64(2))
+    assert out.data.tobytes() == convolve(r, s, Boundary.ZERO).data.tobytes()
 
 
-@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("workers", [0, -2, True, 1.5])
 def test_bad_workers(workers):
-    with pytest.raises(ValueError, match="workers must be positive"):
+    # a bool or a float is no worker count
+    message = "positive" if type(workers) is int else "an integer"
+    with pytest.raises(ValueError, match=f"^workers must be {message}, got {workers}$"):
         convolve(Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1), Boundary.ZERO, workers=workers)
 
 

@@ -476,19 +476,23 @@ def test_bfr1_one_band_equals_that_band_of_the_whole_file(tmp_path, rng):
     data = rng.normal(0, 100, (3, 6, 5))
     save_bandset(BandSet([Raster(d) for d in data], ["a", "b", "c"]), path)
     whole = load_bandset(path)
-    for band in range(3):
+    for band in (0, 1, np.int64(2)):
         one = load_bandset(path, band)
         assert one.band_names == (whole.band_names[band],) and len(one) == 1
         assert one[0].data.tobytes() == whole[band].data.tobytes()
 
 
-@pytest.mark.parametrize("band", [-1, 3, 7])
+@pytest.mark.parametrize("band", [-1, 3, 7, True, 1.5])
 def test_bfr1_band_out_of_range(tmp_path, band):
     path = tmp_path / "b.bfr"
     save_bandset(BandSet([Raster(np.full((3, 4), float(i))) for i in range(3)]), path)
-    with pytest.raises(IndexError) as info:
+    if type(band) is int:
+        error, message = IndexError, f"band {band} is out of range for 3 band(s)"
+    else:  # a bool or a float is no band number, also one inside the range
+        error, message = ValueError, f"band must be an integer, got {band!r}"
+    with pytest.raises(error) as info:
         load_bandset(path, band)
-    assert str(info.value) == f"band {band} is out of range for 3 band(s)"
+    assert str(info.value) == message
 
 
 # the reader's messages for every file that ends before its name table does:

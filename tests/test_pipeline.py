@@ -70,11 +70,14 @@ def test_jacobi_rejects_bad_iterations():
 
 
 def test_jacobi_rejects_non_integer_iterations_before_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as info:
-            smooth_jacobi(Raster(np.ones((8, 8))), BH, 1.5)
-    assert str(info.value) == "iterations must be an integer, got 1.5"
+    r = Raster(np.ones((8, 8)))
+    for iterations in (1.5, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                smooth_jacobi(r, BH, iterations)
+        assert str(info.value) == f"iterations must be an integer, got {iterations!r}"
+    assert smooth_jacobi(r, BH, np.int64(1)).data.tobytes() == smooth_jacobi(r, BH, 1).data.tobytes()
 
 
 def test_jacobi_default_omega_is_plain_sweep(rng):
@@ -707,17 +710,20 @@ def test_class_model_validation():
 
 
 def test_class_model_rejects_nan_bounds_and_non_integer_ids():
-    for intervals, message in [
-        ({1: [[np.nan, np.nan]]}, "class 1: interval with lo > hi or a NaN bound"),
-        ({1: [[0.0, np.nan]]}, "class 1: interval with lo > hi or a NaN bound"),
-        ({1.5: [[0.0, 2.0]]}, "class ids must be positive integers, got 1.5"),
-        ({1.0: [[0.0, 2.0]]}, "class ids must be positive integers, got 1.0"),
+    for band_count, intervals, message in [
+        (1, {1: [[np.nan, np.nan]]}, "class 1: interval with lo > hi or a NaN bound"),
+        (1, {1: [[0.0, np.nan]]}, "class 1: interval with lo > hi or a NaN bound"),
+        (1, {1.5: [[0.0, 2.0]]}, "class ids must be positive integers, got 1.5"),
+        (1, {1.0: [[0.0, 2.0]]}, "class ids must be positive integers, got 1.0"),
+        (1, {True: [[0.0, 2.0]]}, "class ids must be positive integers, got True"),
+        (True, {1: [[0.0, 2.0]]}, "band_count must be an integer, got True"),
+        (1.5, {1: [[0.0, 2.0]]}, "band_count must be an integer, got 1.5"),
     ]:
         with pytest.raises(ValueError) as info:
-            ClassModel(band_count=1, intervals=intervals)
+            ClassModel(band_count=band_count, intervals=intervals)
         assert str(info.value) == message
-    # infinite bounds and numpy integer ids stay legal
-    model = ClassModel(band_count=1, intervals={np.int64(2): [[-np.inf, np.inf]]})
+    # infinite bounds and numpy integer ids and band counts stay legal
+    model = ClassModel(band_count=np.int64(1), intervals={np.int64(2): [[-np.inf, np.inf]]})
     assert list(model.intervals) == [2]
 
 

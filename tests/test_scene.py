@@ -280,6 +280,7 @@ def test_disk_whose_bound_overflows_is_out_of_bounds():
 
 @pytest.mark.parametrize("geometry", [
     (1.5, 2, 3, 3), (2.0, 2, 3, 3), (1, 2.0, 3, 3), (1, 2, 3.0, 3), (1, 2, 3, 2.5),
+    (True, 2, 3, 3), (1, 2, 3, True),
 ])
 def test_rect_geometry_must_be_integers(geometry):
     # the footprint is a numpy slice, whose indices must be integers
@@ -301,6 +302,7 @@ def test_rect_of_numpy_integers_draws_the_same_scene():
 @pytest.mark.parametrize("sizes", [
     {"width": 10.0, "height": 8}, {"width": 10, "height": 8.0},
     {"width": 10, "height": 8, "band_count": 2.0},
+    {"width": True, "height": 8}, {"width": 10, "height": 8, "band_count": True},
 ])
 def test_spec_sizes_must_be_integers(sizes):
     # synth_scene builds arrays of these sizes, whose dimensions are integers
@@ -310,13 +312,13 @@ def test_spec_sizes_must_be_integers(sizes):
 
 
 def test_spec_of_numpy_integer_sizes_draws_the_same_scene():
-    def scene(width, height, band_count):
+    def scene(width, height, band_count, seed):
         spec = SceneSpec(width=width, height=height, band_count=band_count, sigma=1.0,
-                         seed=6, anomalies=(Disk(5.0, 4.0, 2.0, (5.0, 3.0)),))
+                         seed=seed, anomalies=(Disk(5.0, 4.0, 2.0, (5.0, 3.0)),))
         bands, truth = synth_scene(spec)
         return [band.data.tobytes() for band in bands], truth.data.tobytes()
 
-    assert scene(np.int64(10), np.int32(8), np.int64(2)) == scene(10, 8, 2)
+    assert scene(np.int64(10), np.int32(8), np.int64(2), np.int64(6)) == scene(10, 8, 2, 6)
 
 
 @pytest.mark.parametrize("field", ["cx", "cy", "radius"])
@@ -370,6 +372,7 @@ NAN, INF = float("nan"), float("inf")
     ("seed", -1, "seed must be in"),
     ("seed", 2**64, "seed must be in"),
     ("width", 0, "^scene dimensions must be positive$"),
+    ("seed", True, "seed must be an integer"),
 ])
 def test_spec_numbers_out_of_range(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -127,20 +127,26 @@ def test_monomial_degree_cap():
         monomial_response(s, -1, 0)
     assert str(info.value) == "powers must be non-negative"
     monomial_response(s, 4, 3)  # degree 7 allowed
+    assert monomial_response(s, np.int64(4), np.int32(0)) == monomial_response(s, 4, 0)
 
 
-@pytest.mark.parametrize("u,v", [(1.5, 0), (0, 2.0), (np.float64(1.0), 1)])
+@pytest.mark.parametrize("u,v", [(1.5, 0), (0, 2.0), (np.float64(1.0), 1), (True, 0), (0, True)])
 def test_monomial_non_integer_power_rejected(u, v):
     with pytest.raises(ValueError) as info:
         monomial_response(biharmonic_stencil(1.0, 1.0), u, v)
     assert str(info.value) == f"powers must be integers, got u={u!r}, v={v!r}"
 
 
-@pytest.mark.parametrize("p,q", [(-3, 0), (3, 0), (0, -3), (2, 5)])
+@pytest.mark.parametrize("p,q", [(-3, 0), (3, 0), (0, -3), (2, 5), (1.5, 0), (0, True)])
 def test_coeff_outside_the_grid_rejected(p, q):
+    s = biharmonic_stencil(1.0, 1.0)
     with pytest.raises(ValueError) as info:
-        biharmonic_stencil(1.0, 1.0).coeff(p, q)
-    assert str(info.value) == f"offset ({p}, {q}) lies outside the stencil's radius 2"
+        s.coeff(p, q)
+    if type(p) is type(q) is int:
+        assert str(info.value) == f"offset ({p}, {q}) lies outside the stencil's radius 2"
+    else:  # a float or a bool is no offset, also inside the radius
+        assert str(info.value) == f"offsets must be integers, got p={p!r}, q={q!r}"
+    assert s.coeff(np.int64(2), np.int32(0)) == s.coeff(2, 0)
 
 
 def test_validate_passes():
