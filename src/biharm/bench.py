@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import time
 
-from .convolve import DEFAULT_TILE_HEIGHT, Boundary, convolve, convolve_reference, default_workers
-from .raster import Raster
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _check_engine, convolve, convolve_reference
+from .raster import Raster, _count
 from .scene import gaussian
 from .stencil import biharmonic_stencil
 
@@ -26,8 +26,9 @@ def run_benchmark(
     tile_height: int = DEFAULT_TILE_HEIGHT,
 ) -> dict:
     """Returns pixels/second for each engine; outputs are checked identical."""
-    workers = default_workers() if workers is None else workers
+    _count("iters", iters)
     stencil = biharmonic_stencil(1.0, 1.0)
+    workers = _check_engine((height, width), stencil, Boundary.MIRROR, tile_height, workers)
     data = 100.0 + 10.0 * gaussian(1234, width * height).reshape(height, width)
     raster = Raster._from_array(data)
     pixels = width * height

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._kernels import conv_rows
-from .raster import Raster, _is_int
+from .raster import Raster, _count
 from .stencil import Stencil
 
 
@@ -46,21 +46,23 @@ _PAD_MODE = {
 DEFAULT_TILE_HEIGHT = 32
 
 
-def _check_dims(r: Raster, s: Stencil, b: Boundary) -> None:
+def _check_engine(shape, s: Stencil, b: Boundary, tile_height=1, workers=None) -> int:
+    """Check an engine call on a raster of ``shape`` (rows, columns) before
+    it allocates, warns or starts a thread: the tile height, the boundary,
+    the MIRROR size and the worker count, in that order. Returns the worker
+    count, ``default_workers()`` for None."""
+    _count("tile_height", tile_height)
     if not isinstance(b, Boundary):
         raise ValueError(f"boundary must be a Boundary, got {b!r}; use Boundary.parse for a name")
-    if b is Boundary.MIRROR:
-        need = 2 * s.radius + 1
-        if r.width < need or r.height < need:
-            raise ValueError(
-                f"mirror boundary needs dimensions > {2 * s.radius}, "
-                f"got {r.width}x{r.height}"
-            )
+    if b is Boundary.MIRROR and min(shape) <= 2 * s.radius:
+        raise ValueError(f"mirror boundary needs dimensions > {2 * s.radius}, "
+                         f"got {shape[1]}x{shape[0]}")
+    return default_workers() if workers is None else _count("workers", workers)
 
 
 def convolve_reference(r: Raster, s: Stencil, b: Boundary = Boundary.MIRROR) -> Raster:
     """Single-pass oracle: plain loop over stencil offsets, fixed tap order."""
-    _check_dims(r, s, b)
+    _check_engine(r.shape, s, b)
     padded = np.pad(r.data, s.radius, mode=_PAD_MODE[b])
     h, w = r.shape
     k = 2 * s.radius + 1
@@ -85,14 +87,10 @@ def _shares(items: Sequence, run, workers: int | None = None) -> None:
     Returns once every share is done, also when one raises; the calling
     thread's exception then wins, and otherwise the lowest share's. The pool
     starts a thread only at a submit, so one worker starts none. ``workers``
-    None means ``default_workers()``.
+    is a count checked by ``_check_engine``, or None for ``default_workers()``.
     """
     if workers is None:
         workers = default_workers()
-    if not _is_int(workers):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     n = min(workers, len(items))
     shares = [items[i::n] for i in range(n)]
     # leaving the block joins the helpers, also when the calling share raises
@@ -127,12 +125,13 @@ def _sweeps(
     s: Stencil,
     b: Boundary,
     tile_height: int,
-    workers: int | None,
+    workers: int,
     passes: int = 1,
     scaled_center: float | None = None,
 ) -> np.ndarray:
     """Run ``passes`` passes of the tap loop over ``r`` and return the last
-    pass's output array, not yet checked for finiteness.
+    pass's output array, not yet checked for finiteness; the caller checked
+    the arguments with ``_check_engine`` and passes the count it returned.
 
     Without ``scaled_center`` a pass is the convolution. With it, each pass
     is the Jacobi update ``cur - conv(cur) / scaled_center`` of the previous
@@ -145,11 +144,6 @@ def _sweeps(
     through one ``_shares`` call. Tiles read overlapping padded rows but
     write disjoint rows, so scheduling cannot change results.
     """
-    if not _is_int(tile_height):
-        raise ValueError(f"tile_height must be an integer, got {tile_height!r}")
-    if tile_height < 1:
-        raise ValueError(f"tile_height must be positive, got {tile_height}")
-    _check_dims(r, s, b)
     radius = s.radius
     h, w = r.shape
     k = 2 * radius + 1
@@ -185,4 +179,5 @@ def convolve(
     workers: int | None = None,
 ) -> Raster:
     """Tiled parallel convolution, bit-identical to convolve_reference."""
+    workers = _check_engine(r.shape, s, b, tile_height, workers)
     return Raster._from_array(_sweeps(r, s, b, tile_height, workers))

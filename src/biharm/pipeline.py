@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _shares, _sweeps, convolve
-from .raster import BandSet, Raster, _is_int
+from .convolve import DEFAULT_TILE_HEIGHT, Boundary, _check_engine, _shares, _sweeps, convolve
+from .raster import BandSet, Raster, _count, _is_int
 from .stencil import Stencil, jacobi_range, omega_auto
 
 
@@ -37,18 +37,16 @@ def smooth_jacobi(
     of these factors. Repeated sweeps are stable only while it lies in
     [-1, 1]: for the unit biharmonic template, for ``omega < 0.625``, while
     plain Jacobi (``omega = 1``) multiplies its Nyquist mode by -2.2 per
-    sweep; ``omega_auto(s)`` puts it in [0, 1]. A ``RuntimeWarning``
-    is emitted when ``iterations > 1`` and the range leaves [-1, 1].
+    sweep; ``omega_auto(s)`` puts it in [0, 1]. Once every argument is checked,
+    a ``RuntimeWarning`` is emitted when ``iterations > 1`` and the range leaves [-1, 1].
     """
-    if not _is_int(iterations):
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be positive, got {iterations}")
+    _count("iterations", iterations)
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
     center = s.coeff(0, 0)
     if center == 0.0:
         raise ValueError("stencil center coefficient must be non-zero")
+    workers = _check_engine(r.shape, s, b, tile_height, workers)
     if iterations > 1:
         least, greatest = jacobi_range(s, omega)
         growth = ""
@@ -220,10 +218,7 @@ class ClassModel:
     intervals: dict
 
     def __post_init__(self):
-        if not _is_int(self.band_count):
-            raise ValueError(f"band_count must be an integer, got {self.band_count!r}")
-        if self.band_count < 1:
-            raise ValueError("band_count must be positive")
+        _count("band_count", self.band_count)
         boxes = {}
         for cid in sorted(self.intervals):
             if not _is_int(cid) or cid < 1:

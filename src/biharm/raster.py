@@ -9,6 +9,15 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _count(name: str, value):
+    """``value`` if it is a positive integer (``_is_int``), else a ValueError naming it."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 class Raster:
     """Single-band 2-D grid of float64 samples, row 0 at top.
 

@@ -884,6 +884,14 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     monkeypatch.setattr(bench_mod, "convolve",
                         lambda r, s, b, tile_height, workers: Raster(np.full(r.shape, -0.0)))
     assert bench_mod.run_benchmark(16, 16, iters=1)["bit_identical"] is False
+    # a bad count raises before the scene is made or an engine runs
+    monkeypatch.setattr(bench_mod, "gaussian", lambda seed, count: pytest.fail("scene made"))
+    for kwargs, message in [({"iters": 0}, "iters must be positive, got 0"),
+                            ({"iters": 1.5}, "iters must be an integer, got 1.5"),
+                            ({"workers": 0}, "workers must be positive, got 0")]:
+        with pytest.raises(ValueError) as info:
+            bench_mod.run_benchmark(16, 16, **kwargs)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("line,message", [

@@ -2,6 +2,7 @@ import importlib
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,23 +219,41 @@ def test_mirror_too_small_rejected(rng):
         convolve_reference(Raster(data), s, Boundary.MIRROR)
     with pytest.raises(ValueError, match="mirror"):
         convolve(Raster(data), s, Boundary.MIRROR)
+    # plain sweeps would warn that they diverge: the size is checked first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            smooth_jacobi(Raster(np.zeros((3, 3))), s, 3, Boundary.MIRROR)
+    assert str(info.value) == "mirror boundary needs dimensions > 4, got 3x3"
     # other policies accept small rasters
     convolve(Raster(data), s, Boundary.ZERO)
 
 
+def _engines_warning_as_error():
+    """``convolve`` and 3 plain sweeps of ``smooth_jacobi``, which would warn
+    that they diverge, with every warning raised as an error."""
+    def sweeps(r, s, b, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return smooth_jacobi(r, s, 3, b, **kwargs)
+    return convolve, sweeps
+
+
 def test_bad_tile_height(rng):
     r, s = Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1)
-    with pytest.raises(ValueError, match="tile_height"):
-        convolve(r, s, Boundary.ZERO, tile_height=0)
-    for tile_height in (1.5, True):
+    for engine in _engines_warning_as_error():
         with pytest.raises(ValueError) as info:
-            convolve(r, s, Boundary.ZERO, tile_height=tile_height)
-        assert str(info.value) == f"tile_height must be an integer, got {tile_height!r}"
+            engine(r, s, Boundary.ZERO, tile_height=0)
+        assert str(info.value) == "tile_height must be positive, got 0"
+        for tile_height in (1.5, True):
+            with pytest.raises(ValueError) as info:
+                engine(r, s, Boundary.ZERO, tile_height=tile_height)
+            assert str(info.value) == f"tile_height must be an integer, got {tile_height!r}"
     with pytest.raises(ValueError) as info:
         Boundary.parse("bogus")
     assert str(info.value) == "unknown boundary policy 'bogus'"
     # an engine takes a Boundary, never its name
-    for engine in (convolve, convolve_reference, lambda r, s, b: smooth_jacobi(r, s, 1, b)):
+    for engine in (convolve_reference, *_engines_warning_as_error()):
         with pytest.raises(ValueError) as info:
             engine(r, s, "mirror")
         assert str(info.value) == (
@@ -248,8 +267,23 @@ def test_bad_tile_height(rng):
 def test_bad_workers(workers):
     # a bool or a float is no worker count
     message = "positive" if type(workers) is int else "an integer"
-    with pytest.raises(ValueError, match=f"^workers must be {message}, got {workers}$"):
-        convolve(Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1), Boundary.ZERO, workers=workers)
+    for engine in _engines_warning_as_error():
+        with pytest.raises(ValueError, match=f"^workers must be {message}, got {workers}$"):
+            engine(Raster(np.zeros((8, 8))), biharmonic_stencil(1, 1), Boundary.ZERO,
+                   workers=workers)
+
+
+def test_bad_workers_rejected_before_any_buffer():
+    r, s = Raster(np.zeros((512, 512))), biharmonic_stencil(1, 1)  # 2 MiB of samples
+    for engine in (convolve, smooth_jacobi):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^workers must be positive, got 0$"):
+                engine(r, s, workers=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r.data.nbytes, engine
 
 
 def test_linearity_within_4_ulp(rng):

@@ -703,7 +703,7 @@ def test_class_model_validation():
         ClassModel(band_count=1, intervals={0: np.array([[0.0, 1.0]])})
     with pytest.raises(ValueError) as info:
         ClassModel(band_count=0, intervals={})
-    assert str(info.value) == "band_count must be positive"
+    assert str(info.value) == "band_count must be positive, got 0"
     with pytest.raises(ValueError) as info:
         ClassModel(band_count=2, intervals={1: [[0.0, 1.0]]})
     assert str(info.value) == "class 1: expected (2, 2) intervals, got (1, 2)"
