@@ -4,7 +4,7 @@ import os
 import sys
 
 # biharm runs its own tile threads. Its one BLAS call, the small product in
-# stencil.symbol_range, is below OpenBLAS's threading threshold, so the pool
+# stencil.symbol, is below OpenBLAS's threading threshold, so the pool
 # that numpy starts on import (one thread per CPU) is pure start-up cost in
 # every process. OpenBLAS reads this variable once, when numpy loads: a
 # program that imported numpy first, or set the variable, keeps its setting.

@@ -94,13 +94,24 @@ def monomial_response(s: Stencil, u: int, v: int) -> float:
     return float(np.sum(s.coeffs * np.outer(qy, px)))
 
 
+def symbol(s: Stencil, theta_y: np.ndarray, theta_x: np.ndarray) -> np.ndarray:
+    """The stencil's Fourier symbol A(theta) = sum c_pq cos(p theta_x + q theta_y)
+    on the grid of the 1-D frequencies ``theta_y`` (rows) and ``theta_x``
+    (columns)."""
+    offsets = np.arange(-s.radius, s.radius + 1)
+    cos_y, sin_y = np.cos(np.outer(offsets, theta_y)), np.sin(np.outer(offsets, theta_y))
+    cos_x, sin_x = np.cos(np.outer(offsets, theta_x)), np.sin(np.outer(offsets, theta_x))
+    # cos(a + b) = cos a cos b - sin a sin b separates the 2-D sum into
+    # products over rows (q, theta_y) and columns (p, theta_x)
+    return cos_y.T @ s.coeffs @ cos_x - sin_y.T @ s.coeffs @ sin_x
+
+
 # frequencies per half axis at which symbol_range samples the symbol
 SYMBOL_GRID = 64
 
 
 def symbol_range(s: Stencil) -> tuple[float, float]:
-    """Least and greatest value of the stencil's Fourier symbol
-    A(theta) = sum c_pq cos(p theta_x + q theta_y).
+    """Least and greatest value of the stencil's Fourier symbol A, ``symbol``.
 
     A is sampled at theta = pi k / SYMBOL_GRID, |k| <= SYMBOL_GRID, on each
     axis, so 0 and pi are always included: for the biharmonic template the
@@ -110,12 +121,8 @@ def symbol_range(s: Stencil) -> tuple[float, float]:
     Fourier analysis; Trottenberg, Oosterlee & Schueller, Multigrid, 2001).
     """
     theta = np.linspace(-np.pi, np.pi, 2 * SYMBOL_GRID + 1)
-    offsets = np.arange(-s.radius, s.radius + 1)
-    cos, sin = np.cos(np.outer(offsets, theta)), np.sin(np.outer(offsets, theta))
-    # cos(a + b) = cos a cos b - sin a sin b separates the 2-D sum into
-    # products over rows (q, theta_y) and columns (p, theta_x)
-    symbol = cos.T @ s.coeffs @ cos - sin.T @ s.coeffs @ sin
-    return float(symbol.min()), float(symbol.max())
+    a = symbol(s, theta, theta)
+    return float(a.min()), float(a.max())
 
 
 def jacobi_range(s: Stencil, omega: float = 1.0) -> tuple[float, float]:

@@ -17,7 +17,8 @@ gains into each band, to three of them; there local RX is the control too.
 The paper's smoother read as a variational one, (I + lam Delta^2) u = f, is
 solved in closed form at four scales and scored on every scene.
 The counts are what was measured, the losing ones included; a change to any
-of them is a change to the finding.
+of them is a change to the finding, and to README's claim tables, which
+``test_readme_claim_tables`` checks against them.
 
 Every test reads one table, ``_aucs``, built once per session: per scene
 and seed, the RX and local RX AUCs and each band's AUC under each detector.
@@ -27,6 +28,7 @@ the pass, and the output does not depend on the worker count.
 import dataclasses
 import functools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from biharm.convolve import Boundary, convolve
 from biharm.pipeline import anomaly_residual, ranking_auc, smooth_jacobi
 from biharm.raster import Raster
 from biharm.scene import Disk, gaussian, parse_scene_spec, substream_seed, synth_scene
-from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline, omega_auto
+from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline, omega_auto, symbol
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SEEDS = (20260824, 1, 2, 3)
@@ -174,6 +176,14 @@ def _symbol(h, w):
     rad = BH.radius
     return sum(BH.coeff(p, q) * np.cos(p * theta_x + q * theta_y)
                for q in range(-rad, rad + 1) for p in range(-rad, rad + 1))
+
+
+@pytest.mark.parametrize("h,w", [(96, 96), (190, 190), (7, 12)])
+def test_stencil_symbol_is_the_cosine_sum(h, w):
+    """``stencil.symbol``'s separable form against ``_symbol``'s 13-term sum."""
+    want = _symbol(h, w)
+    got = symbol(BH, 2 * np.pi * np.fft.fftfreq(h), 2 * np.pi * np.fft.rfftfreq(w))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def variational(f, lam, boundary=Boundary.MIRROR):
@@ -375,3 +385,89 @@ def test_variational_counts(name):
         counts.append(wins)
     counts = tuple(zip(*counts))
     assert counts[:3 + (name in TEXTURED)] == VARIATIONAL_COUNTS[name]
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# the dicts of README's detector-claim tables, in their order there, each
+# keyed by the labels of its table's rows; CLAIM_COUNTS has one row per detector
+CLAIM_TABLES = (
+    {d: tuple(CLAIM_COUNTS[s][d] for s in CLAIM_COUNTS) for d in CLAIM_COUNTS["flat-sigma2"]},
+    {f"r{r}-sigma{s:g}": counts for (r, s), counts in DISK_COUNTS.items()},
+    RX_COUNTS, TEXTURED_COUNTS, VARIATIONAL_COUNTS,
+)
+COUNT_CELL = re.compile(r"\d+( / \d+)*")
+
+
+def _cells(counts):
+    """A dict entry as its table row shows it: one cell per count, or per
+    tuple of counts joined by " / "."""
+    return [" / ".join(map(str, c)) if isinstance(c, tuple) else str(c) for c in counts]
+
+
+def _claim_tables(readme):
+    """The body rows of each table in README's detector-claim section."""
+    section = readme.partition("\n## The detector claim\n")[2].partition("\n## ")[0]
+    tables = [[]]
+    for line in section.splitlines():
+        if line.startswith("|"):
+            tables[-1].append(line)
+        elif tables[-1]:
+            tables.append([])
+    return [rows[2:] for rows in tables if rows]
+
+
+def claim_table_mismatches(readme):
+    """Each way README's claim tables disagree with ``CLAIM_TABLES``: a
+    table too many or too few, a row whose count cells differ from its
+    entry's, an entry with no row, and a row that matches no entry. A row's
+    first cell is its key; cells that hold no count are not read."""
+    tables = _claim_tables(readme)
+    if len(tables) != len(CLAIM_TABLES):
+        return [f"{len(tables)} claim tables, not {len(CLAIM_TABLES)}"]
+    problems = []
+    for n, (rows, counts) in enumerate(zip(tables, CLAIM_TABLES), 1):
+        shown = {}
+        for row in rows:
+            key, *cells = (c.strip().strip("`").replace("\\|", "|")
+                           for c in re.split(r"(?<!\\)\|", row)[1:-1])
+            if key in shown:
+                problems.append(f"table {n}: two rows for {key!r}")
+            shown[key] = [c for c in cells if COUNT_CELL.fullmatch(c)]
+        for key, cells in shown.items():
+            if key not in counts:
+                problems.append(f"table {n}: row {key!r} matches no entry")
+            elif cells != _cells(counts[key]):
+                problems.append(f"table {n}, {key!r}: README {cells}, test {_cells(counts[key])}")
+        problems += [f"table {n}: entry {key!r} has no row" for key in counts if key not in shown]
+    return problems
+
+
+def _readme():
+    with open(README) as fh:
+        return fh.read()
+
+
+def test_readme_claim_tables():
+    """README states the claim's counts only in tables bound to the dicts."""
+    assert claim_table_mismatches(_readme()) == []
+
+
+# what each edit puts in place of a row and its newline
+EDITS = {
+    "count changed": lambda row: re.sub(r"(\d+)(\D*)$", lambda m: f"{int(m[1]) + 1}{m[2]}\n", row),
+    "row deleted": lambda row: "",
+    "extra row": lambda row: f"{row}\n{re.sub(r'^[|][^|]*', '| no-such-key ', row)}\n",
+}
+
+
+@pytest.mark.parametrize("edit", list(EDITS))
+def test_readme_check_fails_on_a_wrong_table(edit):
+    """The check on README copies with one row of one table edited, for the
+    first row of each table, so that it cannot pass on a section it no
+    longer reads."""
+    readme = _readme()
+    tables = _claim_tables(readme)
+    assert len(tables) == len(CLAIM_TABLES)
+    for rows in tables:
+        copy = readme.replace(rows[0] + "\n", EDITS[edit](rows[0]), 1)
+        assert copy != readme and claim_table_mismatches(copy)

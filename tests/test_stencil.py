@@ -12,6 +12,7 @@ from biharm.stencil import (
     laplacian_baseline,
     monomial_response,
     omega_auto,
+    symbol_range,
     validate_stencil,
 )
 
@@ -241,6 +242,22 @@ def test_validate_catches_center_perturbation():
 def test_stencil_bytes_pinned(lx, ly, digest):
     coeffs = biharmonic_stencil(lx, ly).coeffs
     assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("s,digest", [
+    (biharmonic_stencil(1.0, 1.0), "c086dea7748ed064867a5e0d816a8dcab31d238c27b5ee2ce4f0f11cbd341898"),
+    (Stencil(-TEMPLATE_UNIT), "e807d04e76e5a70c2a3db33112b47e186750b57e8a599503b2b28abd7aedd423"),
+    (laplacian_baseline(), "edb4e2814c4062d7a770ac9979bb7033c7321248a33bf811161d21e0dbd35d49"),
+    (biharmonic_stencil(1.0, 2.0), "1763e51bcde71ed223d16a395014a5a265e38eaa822be3590a85ef4ee9e47593"),
+    (biharmonic_stencil(0.5, 2.0), "f7088d0bbc2937572622b6c71e22e078a7d2c53f9071b0ae0f96c30a4fefe8da"),
+    (biharmonic_stencil(1.307, 0.477), "55184183daf0a70bc292917ad36569a8321e9800cf13144a00bbdde192099da0"),
+    (biharmonic_stencil(1e-50, 1.0), "e2be38cc0e3aa1d5d4d8ac40afcf9b7ebd004205eb0b66716513ac8283459f6f"),
+])
+def test_symbol_figures_pinned(s, digest):
+    """The bytes of symbol_range, jacobi_range and omega_auto, which the
+    ``stencil --validate`` report prints, on the pinned stencils."""
+    figures = np.array([*symbol_range(s), *jacobi_range(s), omega_auto(s)])
+    assert hashlib.sha256(figures.tobytes()).hexdigest() == digest
 
 
 @settings(max_examples=60, deadline=None)
