@@ -3,10 +3,11 @@
 import os
 import sys
 
-# biharm runs its own tile threads. Its one BLAS call, the small product in
-# stencil.symbol, is below OpenBLAS's threading threshold, so the pool
-# that numpy starts on import (one thread per CPU) is pure start-up cost in
-# every process. OpenBLAS reads this variable once, when numpy loads: a
+# biharm runs its own tile threads. Its only BLAS work, the four small
+# products of stencil.symbol ((129x5)(5x5), then (129x5)(5x129), twice, for
+# symbol_range), is below OpenBLAS's threading threshold, so the pool that
+# numpy starts on import (one thread per CPU) is pure start-up cost in every
+# process. OpenBLAS reads this variable once, when numpy loads: a
 # program that imported numpy first, or set the variable, keeps its setting.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -29,7 +29,8 @@ def conv_rows(padded: np.ndarray, taps, radius: int, out: np.ndarray, row0: int,
     ``W`` its row length, output pixel (j, i) of the tile is lane
     ``j * W + i`` of every run, and the ``2 * radius`` lanes between two
     output rows fall on halo columns and are computed, then dropped; they
-    never leave the tile's own buffer.
+    never leave the tile's own buffer. So numpy runs each tap as one 1-D
+    loop, where a strided 2-D view of the tile's rows runs one per row.
     """
     width = padded.shape[1]
     w = width - 2 * radius

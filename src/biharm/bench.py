@@ -26,6 +26,8 @@ def run_benchmark(
     tile_height: int = DEFAULT_TILE_HEIGHT,
 ) -> dict:
     """Returns pixels/second for each engine; outputs are checked identical."""
+    _count("width", width)
+    _count("height", height)
     _count("iters", iters)
     stencil = biharmonic_stencil(1.0, 1.0)
     workers = _check_engine((height, width), stencil, Boundary.MIRROR, tile_height, workers)

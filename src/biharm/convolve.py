@@ -40,9 +40,10 @@ _PAD_MODE = {
 
 
 # rows per tile: fastest of 16/32/48/64/128 for 5 sweeps of 2048x2048
-# rasters on 2 workers (README, "Engine"). The classifier's strips use it
-# too: on 8 bands of 1024x1024, strips of 32 and 64 rows take about the same
-# time, 128 rows about 15% more and 256 rows about 40% more
+# rasters on 2 workers (CHANGES.md, "Tile height 32 stays the fastest").
+# The classifier's strips use it too: on 8 bands of 1024x1024, strips of 32
+# and 64 rows take about the same time, 128 rows about 15% more and 256 rows
+# about 40% more
 DEFAULT_TILE_HEIGHT = 32
 
 
@@ -86,8 +87,11 @@ def _shares(items: Sequence, run, workers: int | None = None) -> None:
     calling thread and each other share on one of ``n - 1`` pool threads.
     Returns once every share is done, also when one raises; the calling
     thread's exception then wins, and otherwise the lowest share's. The pool
-    starts a thread only at a submit, so one worker starts none. ``workers``
-    is a count checked by ``_check_engine``, or None for ``default_workers()``.
+    starts a thread only at a submit, so one worker starts none, and the
+    calling thread works rather than waits, which makes a small call on one
+    worker much cheaper. A pool lives for one call: one pool kept for all of
+    a sweep's passes measured no faster. ``workers`` is a count checked by
+    ``_check_engine``, or None for ``default_workers()``.
     """
     if workers is None:
         workers = default_workers()
@@ -107,7 +111,8 @@ def _refresh_halo(buf: np.ndarray, radius: int, b: Boundary) -> None:
     with ``b``'s mode would; ZERO's halo is left as it is. Index maps send
     each padded row/column to the buffer row/column it copies: first the
     halo columns of the interior rows, then whole halo rows, which copy
-    interior rows already complete."""
+    interior rows already complete. The engine's bit-identity tests check it,
+    since ``convolve_reference`` pads with ``np.pad``."""
     if b is Boundary.ZERO:
         return
     h, w = buf.shape[0] - 2 * radius, buf.shape[1] - 2 * radius

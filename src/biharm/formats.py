@@ -121,7 +121,7 @@ def _parse_pgm(data: bytes) -> Raster:
 
 def save_pgm(r: Raster, path, maxval: int = 255) -> None:
     """Write binary P5; samples clamped to [0, maxval], rounded half away from zero."""
-    if maxval not in (255, 65535):
+    if not _is_int(maxval) or maxval not in (255, 65535):
         raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
     data = r.data
     payload = np.empty(data.shape, ">u2" if maxval > 255 else "u1")

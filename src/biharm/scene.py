@@ -59,7 +59,9 @@ def gaussian(seed: int, count: int) -> np.ndarray:
     pairs + i + 1, and gives deviates i and pairs + i. The blocks run in
     ``convolve._shares`` with the default workers, each share with its own
     block buffers; every step is elementwise, so the bytes do not depend on
-    the shares."""
+    the shares. A pool thread allocates nothing band-sized: each thread's
+    malloc arena keeps the buffers it freed, so bands built on pool threads
+    raised a command's peak memory."""
     pairs = (count + 1) // 2
     z = np.empty(2 * pairs)
     size = min(pairs, _BLOCK)
@@ -267,8 +269,9 @@ def synth_scene(spec: SceneSpec):
         bands = []
         for b in range(spec.band_count):
             if spec.sigma > 0:
-                # base + sigma * noise in the noise's own array: IEEE + and *
-                # commute, so the bits are the same
+                # base + sigma * noise in the noise's own array, so a band
+                # needs no second band-sized array: IEEE + and * commute, so
+                # the bits are the same
                 band = gaussian(substream_seed(spec.seed, b), w * h).reshape(h, w)
                 band *= spec.sigma
                 band += base

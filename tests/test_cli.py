@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import collections
 import dataclasses
@@ -594,6 +595,15 @@ def test_readme_commands_parse(capsys):
                         f"{capsys.readouterr().err}")
 
 
+def test_readme_commands_cover_every_subcommand():
+    """README's ``sh`` blocks hold an example of each subcommand the parser
+    defines, read off the parser itself."""
+    (subcommands,) = [action.choices for action in cli_mod.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    shown = {argv[0] for argv in _readme_commands()}
+    assert sorted(set(subcommands) - shown) == []
+
+
 def test_classify_outputs_equal_library(fixture_scene, tmp_path, capsys):
     scene, truth = fixture_scene
     anomalous = load_pgm(truth).data != 0.0
@@ -888,9 +898,13 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
     monkeypatch.setattr(bench_mod, "gaussian", lambda seed, count: pytest.fail("scene made"))
     for kwargs, message in [({"iters": 0}, "iters must be positive, got 0"),
                             ({"iters": 1.5}, "iters must be an integer, got 1.5"),
-                            ({"workers": 0}, "workers must be positive, got 0")]:
+                            ({"workers": 0}, "workers must be positive, got 0"),
+                            ({"width": 0}, "width must be positive, got 0"),
+                            ({"width": 16.0}, "width must be an integer, got 16.0"),
+                            ({"height": np.float64(16)}, "height must be an integer, got np.float64(16.0)"),
+                            ({"height": True}, "height must be an integer, got True")]:
         with pytest.raises(ValueError) as info:
-            bench_mod.run_benchmark(16, 16, **kwargs)
+            bench_mod.run_benchmark(**{"width": 16, "height": 16, **kwargs})
         assert str(info.value) == message
 
 

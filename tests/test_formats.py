@@ -158,8 +158,11 @@ def test_save_pgm_clamp_and_round(tmp_path):
 
 
 def test_save_pgm_rejects_other_maxval(tmp_path):
-    with pytest.raises(ValueError):
-        save_pgm(Raster([[1.0]]), tmp_path / "a.pgm", 1000)
+    # a float equal to 255 or 65535 is not an integer either
+    for maxval in (1000, 255.0, np.float64(65535)):
+        with pytest.raises(ValueError) as info:
+            save_pgm(Raster([[1.0]]), tmp_path / "a.pgm", maxval)
+        assert str(info.value) == f"maxval must be 255 or 65535, got {maxval}"
 
 
 def test_pgm_roundtrip_equals_clamp_round(tmp_path, rng):
