@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ def assert_ulp_close(a: np.ndarray, b: np.ndarray, ulps: int = 4, scale=None):
     tol = ulps * np.spacing(np.abs(scale))
     diff = np.abs(a - b)
     assert np.all(diff <= tol), f"max diff {diff.max()} exceeds {ulps} ulp"
+
+
+def traced_peak(call):
+    """The peak of the memory that ``call()`` allocates, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

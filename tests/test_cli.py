@@ -5,8 +5,8 @@ import dataclasses
 import os
 import re
 import shlex
+import shutil
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +31,7 @@ from biharm.pipeline import (
 from biharm.raster import BandSet, Raster
 from biharm.scene import parse_scene_spec, synth_scene
 from biharm.stencil import biharmonic_stencil, jacobi_range, laplacian_baseline
-from conftest import set_default_workers
+from conftest import set_default_workers, traced_peak
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -150,10 +150,8 @@ def test_usage_errors_exit_2(capsys):
     ["bench", "--size", "0x64"],
     ["bench", "--size", "axb"],
 ])
-def test_bad_integer_options_exit_2(argv, tmp_path, capsys):
-    spec = os.path.join(FIXTURES, "compare_scene.txt")
-    scene, truth = str(tmp_path / "scene.bfr"), str(tmp_path / "truth.pgm")
-    assert run(["synth", "--spec", spec, "--out", scene, "--truth-out", truth]) == 0
+def test_bad_integer_options_exit_2(argv, fixture_scene, tmp_path, capsys):
+    scene, truth = fixture_scene
     io = {
         "smooth": ["--in", scene, "--out", str(tmp_path / "o.bfr")],
         "detect": ["--in", scene, "--out", str(tmp_path / "o.bfr")],
@@ -199,10 +197,8 @@ def test_engine_commands_parse_the_default_tile_height(argv):
 
 @pytest.mark.parametrize("command", ["detect", "compare"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5", "x"])
-def test_meaningless_sigma_k_exit_2(command, value, tmp_path, capsys):
-    spec = os.path.join(FIXTURES, "compare_scene.txt")
-    scene, truth = str(tmp_path / "scene.bfr"), str(tmp_path / "truth.pgm")
-    assert run(["synth", "--spec", spec, "--out", scene, "--truth-out", truth]) == 0
+def test_meaningless_sigma_k_exit_2(command, value, fixture_scene, tmp_path, capsys):
+    scene, truth = fixture_scene
     out, mask = tmp_path / "o.bfr", tmp_path / "mask.pgm"
     io = {
         "detect": ["--out", str(out), "--mask-out", str(mask)],
@@ -358,24 +354,21 @@ def test_smooth_pgm_to_pgm(tmp_path):
     assert np.all(load_pgm(out).data == 50.0)
 
 
-def test_smooth_in_place_equals_new_path(tmp_path):
-    spec = os.path.join(FIXTURES, "compare_scene.txt")
+def test_smooth_in_place_equals_new_path(fixture_scene, tmp_path):
     scene = tmp_path / "scene.bfr"
-    assert run(["synth", "--spec", spec, "--out", str(scene)]) == 0
+    shutil.copyfile(fixture_scene[0], scene)  # smoothed in place below
     fresh = tmp_path / "fresh.bfr"
     assert run(["smooth", "--in", str(scene), "--out", str(fresh)]) == 0
     assert run(["smooth", "--in", str(scene), "--out", str(scene)]) == 0
     assert scene.read_bytes() == fresh.read_bytes()
 
 
-def test_workers_do_not_change_output_bytes(tmp_path):
-    spec = os.path.join(FIXTURES, "compare_scene.txt")
-    src = tmp_path / "scene.bfr"
-    assert run(["synth", "--spec", spec, "--out", str(src)]) == 0
+def test_workers_do_not_change_output_bytes(fixture_scene, tmp_path):
+    scene, _ = fixture_scene
     outputs = []
     for workers in ("1", "4"):
         out = tmp_path / f"scores_{workers}.bfr"
-        assert run(["detect", "--in", str(src), "--out", str(out),
+        assert run(["detect", "--in", scene, "--out", str(out),
                     "--workers", workers]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
@@ -786,23 +779,17 @@ def test_compare_memory_budget(band, tmp_path, capsys):
                     "anomaly = rect 150 150 20 30 25 15 35\n")
     scene, truth = str(tmp_path / "scene.bfr"), str(tmp_path / "truth.pgm")
     assert run(["synth", "--spec", str(spec), "--out", scene, "--truth-out", truth]) == 0
-    tracemalloc.start()
-    try:
+    def compare():
         assert run(["compare", "--in", scene, "--truth", truth, "--band", band]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(compare)
     assert "biharmonic_auc=" in capsys.readouterr().out
     assert peak <= 7 * 256 * 256 * 8
 
 
-def test_compare_report_file(tmp_path):
-    spec = os.path.join(FIXTURES, "compare_scene.txt")
-    scene = tmp_path / "scene.bfr"
-    truth = tmp_path / "truth.pgm"
-    run(["synth", "--spec", spec, "--out", str(scene), "--truth-out", str(truth)])
+def test_compare_report_file(fixture_scene, tmp_path):
+    scene, truth = fixture_scene
     report_path = tmp_path / "report.txt"
-    assert run(["compare", "--in", str(scene), "--truth", str(truth),
+    assert run(["compare", "--in", scene, "--truth", truth,
                 "--report", str(report_path)]) == 0
     report = read_report(report_path.read_text())
     assert 0.5 < float(report["biharmonic_auc"]) <= 1.0

@@ -2,7 +2,6 @@ import importlib
 import os
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +14,7 @@ from biharm.raster import BandSet, Raster
 from biharm.scene import gaussian
 from biharm.stencil import Stencil, biharmonic_stencil, laplacian_baseline
 
-from conftest import assert_ulp_close, quad_loop_convolve, set_default_workers
+from conftest import assert_ulp_close, quad_loop_convolve, set_default_workers, traced_peak
 
 ALL_POLICIES = list(Boundary)
 # the module, which the package's ``convolve`` function shadows as an attribute
@@ -54,18 +53,6 @@ def test_matches_pure_python_oracle(policy, rng):
         out = convolve_reference(Raster(data), s, policy)
         oracle = quad_loop_convolve(data, np.asarray(s.coeffs), s.radius, policy)
         assert out.data.tobytes() == oracle.tobytes()
-
-
-# 64, 10 and 1 tiles: 3 and 5 workers divide neither 64 nor 10 tiles
-@pytest.mark.parametrize("tile_height", [1, 7, 64])
-@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
-def test_tiled_bit_identical(tile_height, workers, rng):
-    data = rng.normal(0, 1, (64, 64))
-    s = biharmonic_stencil(1.0, 1.0)
-    for policy in ALL_POLICIES:
-        ref = convolve_reference(Raster(data), s, policy)
-        out = convolve(Raster(data), s, policy, tile_height, workers)
-        assert out.data.tobytes() == ref.data.tobytes()
 
 
 def _spy_thread_starts(monkeypatch):
@@ -276,14 +263,10 @@ def test_bad_workers(workers):
 def test_bad_workers_rejected_before_any_buffer():
     r, s = Raster(np.zeros((512, 512))), biharmonic_stencil(1, 1)  # 2 MiB of samples
     for engine in (convolve, smooth_jacobi):
-        tracemalloc.start()
-        try:
+        def bad_call():
             with pytest.raises(ValueError, match="^workers must be positive, got 0$"):
                 engine(r, s, workers=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < r.data.nbytes, engine
+        assert traced_peak(bad_call) < r.data.nbytes, engine
 
 
 def test_linearity_within_4_ulp(rng):
@@ -323,69 +306,98 @@ def test_interior_independent_of_policy(rng):
         assert np.array_equal(outputs[0], other)
 
 
-def test_randomized_identity_sweep(rng):
-    # mixed sizes, stencils, policies, tilings: tiled == reference, bitwise
-    for _ in range(40):
-        h = int(rng.integers(5, 40))
-        w = int(rng.integers(5, 40))
-        data = rng.normal(0, 50, (h, w))
-        if rng.random() < 0.5:
-            s = biharmonic_stencil(float(rng.uniform(0.25, 8)), float(rng.uniform(0.25, 8)))
-        else:
-            s = laplacian_baseline()
-        policy = ALL_POLICIES[int(rng.integers(len(ALL_POLICIES)))]
-        tile = int(rng.integers(1, h + 4))
-        workers = int(rng.choice([1, 2, 4]))
-        ref = convolve_reference(Raster(data), s, policy)
-        out = convolve(Raster(data), s, policy, tile, workers)
-        assert out.data.tobytes() == ref.data.tobytes()
+def _normal(mean, sd, zeros=0.0):
+    """Inputs of one N(mean, sd) raster whose samples become +0.0, then
+    -0.0, each with probability ``zeros``."""
+    def inputs(rng, shape):
+        data = rng.normal(mean, sd, shape)
+        data[rng.random(shape) < zeros] = 0.0
+        data[rng.random(shape) < zeros] = -0.0
+        yield data
+    return inputs
 
 
-def _signed_zero_inputs(rng, h, w):
+def _signed_zeros(rng, shape):
     # exact +0.0 and -0.0 samples, where a skipped zero tap could flip the
     # sign of an exact-zero sum, and a constant raster, whose sums cancel
-    data = rng.normal(0, 3, (h, w))
-    data[rng.random((h, w)) < 0.3] = 0.0
-    data[rng.random((h, w)) < 0.3] = -0.0
+    data = rng.normal(0, 3, shape)
+    data[rng.random(shape) < 0.3] = 0.0
+    data[rng.random(shape) < 0.3] = -0.0
     yield data
     yield np.where(data == 0.0, -0.0, 0.0)
     # the biharmonic taps are positive at even and negative at odd p + q, so
     # on this checkerboard every product at half the pixels is -0.0
-    jj, ii = np.mgrid[0:h, 0:w]
+    jj, ii = np.indices(shape)
     yield np.where((ii + jj) % 2 == 0, -0.0, 0.0)
-    yield np.full((h, w), 7.25)
+    yield np.full(shape, 7.25)
 
 
-@pytest.mark.parametrize("policy", ALL_POLICIES)
-@pytest.mark.parametrize("stencil", [biharmonic_stencil(1, 1), biharmonic_stencil(0.5, 2),
-                                     laplacian_baseline()], ids=["bh11", "bh05_2", "laplacian"])
-def test_zero_taps_skipped_bytes_equal_reference(policy, stencil, rng):
+def _pairs(heights, workers):
+    """Each (tile height, workers) pair of ``heights`` and ``workers``."""
+    return sorted({(t, n) for t in heights for n in workers})
+
+
+# The sweep engine's byte contract: reference == tiled, for any tile height
+# and worker count. Each row, named rows x columns: its shape, policies,
+# inputs and (tile height, workers) pairs
+SWEEP_INPUTS = {
+    # 64, 10 and 1 tiles: 3 and 5 workers divide neither 64 nor 10 tiles
+    "64x64": ((64, 64), ALL_POLICIES, _normal(0, 1), _pairs((1, 7, 64), range(1, 6))),
+    # no worker count from 2 to 5 divides 37 tiles, 4 and 5 leave 6 tiles in
+    # unequal shares, and 2 or 1 tiles fewer than 3 workers
+    "37x29": ((37, 29), ALL_POLICIES, _normal(100, 20, zeros=0.2),
+              _pairs((1, 7, 32, 40), range(1, 6))),
     # array_equal cannot see the sign of zero; the bytes can
-    for data in _signed_zero_inputs(rng, 13, 11):
-        ref = convolve_reference(Raster(data), stencil, policy).data.tobytes()
-        for tile_height, workers in ((64, 1), (3, 2)):
-            out = convolve(Raster(data), stencil, policy, tile_height, workers)
-            assert out.data.tobytes() == ref
-
-
-@pytest.mark.parametrize("shape,policy", [
-    ((7, 5), Boundary.MIRROR),
-    ((6, 1), Boundary.ZERO),
-    ((6, 1), Boundary.WRAP),
-    ((6, 1), Boundary.REPLICATE),
-])
-def test_runs_across_row_ends_at_the_smallest_widths(shape, policy, rng):
+    "13x11": ((13, 11), ALL_POLICIES, _signed_zeros, [(3, 2), (64, 1)]),
     # a tile of n rows reads each tap as one run of the flattened padded
     # input that crosses n - 1 row ends, whose halo lanes are dropped; 5 is
     # the narrowest MIRROR raster and 1 the narrowest of the others
-    h = shape[0]
-    for data in _signed_zero_inputs(rng, *shape):
-        for s in (biharmonic_stencil(1, 1), biharmonic_stencil(0.5, 2), laplacian_baseline()):
-            ref = convolve_reference(Raster(data), s, policy).data.tobytes()
-            for tile_height in (1, 2, h):
-                for workers in (1, 2):
-                    out = convolve(Raster(data), s, policy, tile_height, workers)
-                    assert out.data.tobytes() == ref, (tile_height, workers)
+    **{f"{h}x{w}": ((h, w), policies, _signed_zeros, _pairs((1, 2, h), (1, 2)) + [(64, 1)])
+       for (h, w), policies in [
+           ((7, 5), [Boundary.MIRROR]),
+           ((5, 5), [Boundary.MIRROR]),
+           ((6, 1), [Boundary.ZERO, Boundary.WRAP, Boundary.REPLICATE]),
+           ((1, 9), [Boundary.ZERO, Boundary.WRAP]),
+           ((2, 1), [Boundary.WRAP]),
+           ((1, 6), [Boundary.REPLICATE]),
+       ]},
+}
+STENCILS = {"bh11": biharmonic_stencil(1, 1), "bh05_2": biharmonic_stencil(0.5, 2),
+            "laplacian": laplacian_baseline()}
+# (iterations, omega) of each smooth_jacobi call
+SWEEPS = [(n, omega) for n in (1, 3) for omega in (1.0, 0.3125)]
+
+
+def _oracle_sweeps(r, s, b, iterations, omega):
+    """Jacobi sweeps as a plain loop of reference convolutions."""
+    cur = r
+    for _ in range(iterations):
+        cur = Raster(cur.data - convolve_reference(cur, s, b).data / (s.coeff(0, 0) / omega))
+    return cur
+
+
+@pytest.mark.parametrize("row,stencil,policy", [
+    pytest.param(row, stencil, policy, id=f"{row}-{name}-{policy.value}")
+    for row, (_, policies, _, _) in SWEEP_INPUTS.items()
+    for name, stencil in STENCILS.items() for policy in policies])
+def test_engine_bytes_equal_reference(row, stencil, policy, rng):
+    # convolve against convolve_reference and smooth_jacobi against
+    # _oracle_sweeps; repeated plain sweeps warn that they diverge, and only
+    # that warning is silenced
+    shape, _, inputs, pairs = SWEEP_INPUTS[row]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+        for data in inputs(rng, shape):
+            r = Raster(data)
+            ref = convolve_reference(r, stencil, policy).data.tobytes()
+            oracle = {sweep: _oracle_sweeps(r, stencil, policy, *sweep).data.tobytes()
+                      for sweep in SWEEPS}
+            for tile_height, workers in pairs:
+                out = convolve(r, stencil, policy, tile_height, workers)
+                assert out.data.tobytes() == ref, (tile_height, workers)
+                for (n, omega), want in oracle.items():
+                    out = smooth_jacobi(r, stencil, n, policy, tile_height, workers, omega)
+                    assert out.data.tobytes() == want, (tile_height, workers, n, omega)
 
 
 def test_all_zero_stencil_gives_positive_zeros():

@@ -1,7 +1,7 @@
+import contextlib
 import copy
 import pickle
 import struct
-import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -22,6 +22,8 @@ from biharm.formats import (
     save_pgm,
 )
 from biharm.raster import BandSet, Raster
+
+from conftest import traced_peak
 
 
 def test_p2_basic(tmp_path):
@@ -553,15 +555,6 @@ def test_loaded_bands_are_read_only_and_outlive_the_file(tmp_path, rng, change):
             band.data[0, 0] = 1.0
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _bands_3x256(rng):
     return BandSet([Raster(rng.normal(0, 1, (256, 256))) for _ in range(3)])
 
@@ -572,7 +565,7 @@ def test_load_bandset_memory_budget(tmp_path, rng):
     path = tmp_path / "b.bfr"
     save_bandset(_bands_3x256(rng), path)
     band_bytes = 3 * 256 * 256 * 8
-    assert _traced_peak(lambda: load_bandset(path)) <= 1.25 * band_bytes
+    assert traced_peak(lambda: load_bandset(path)) <= 1.25 * band_bytes
 
 
 def test_load_one_band_memory_budget(tmp_path, rng):
@@ -581,14 +574,14 @@ def test_load_one_band_memory_budget(tmp_path, rng):
     path = tmp_path / "b.bfr"
     save_bandset(_bands_3x256(rng), path)
     band_bytes = 256 * 256 * 8
-    assert _traced_peak(lambda: load_bandset(path, 2)) <= 1.75 * band_bytes
+    assert traced_peak(lambda: load_bandset(path, 2)) <= 1.75 * band_bytes
 
 
 def test_save_bandset_memory_budget(tmp_path, rng):
     # each band is cast into one reused float32 buffer and written from it
     bands = _bands_3x256(rng)
     buffer_bytes = 256 * 256 * 4
-    assert _traced_peak(lambda: save_bandset(bands, tmp_path / "b.bfr")) <= 1.25 * buffer_bytes
+    assert traced_peak(lambda: save_bandset(bands, tmp_path / "b.bfr")) <= 1.25 * buffer_bytes
 
 
 def test_save_pgm_memory_budget(tmp_path, rng):
@@ -596,7 +589,7 @@ def test_save_pgm_memory_budget(tmp_path, rng):
     # whole raster
     r = Raster(rng.uniform(-10, 300, (1024, 256)))
     raster_bytes = 1024 * 256 * 8
-    assert _traced_peak(lambda: save_pgm(r, tmp_path / "a.pgm", 255)) <= raster_bytes / 4
+    assert traced_peak(lambda: save_pgm(r, tmp_path / "a.pgm", 255)) <= raster_bytes / 4
 
 
 VALID_FILES = [
@@ -635,13 +628,8 @@ def test_mutated_files_load_or_raise_format_error(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.bin"
     path.write_bytes(data)
     for load in (load_pgm, load_bandset, partial(load_bandset, band=0)):
-        tracemalloc.start()
-        try:
-            load(path)
-        except FormatError:
-            pass
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+        def load_or_format_error():
+            with contextlib.suppress(FormatError):
+                load(path)
         # inputs are tiny, so no reader may allocate for declared sizes first
-        assert peak < 2**20
+        assert traced_peak(load_or_format_error) < 2**20

@@ -1,6 +1,5 @@
 import dataclasses
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biharm.convolve import Boundary, convolve, convolve_reference
+from biharm.convolve import Boundary, convolve
 from biharm.pipeline import (
     AnomalyMap,
     ClassModel,
@@ -31,10 +30,12 @@ from biharm.stencil import (
     biharmonic_stencil,
     jacobi_range,
     laplacian_baseline,
+    symbol,
     symbol_range,
 )
 
-from conftest import assert_ulp_close
+from conftest import assert_ulp_close, traced_peak
+from test_convolve import SWEEPS, _oracle_sweeps
 
 BH = biharmonic_stencil(1.0, 1.0)
 
@@ -163,58 +164,22 @@ def test_jacobi_growth_stencil_grows_the_mean(rng):
     assert out.data.mean() > 1000 * r.data.mean()
 
 
-def _oracle_sweeps(r, s, b, iterations, omega):
-    """Jacobi sweeps as a plain loop of reference convolutions."""
-    cur = r
-    for _ in range(iterations):
-        cur = Raster(cur.data - convolve_reference(cur, s, b).data / (s.coeff(0, 0) / omega))
-    return cur
-
-
-def _quiet_smooth(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
-        return smooth_jacobi(*args, **kwargs)
-
-
 @pytest.mark.parametrize("policy", list(Boundary))
 @pytest.mark.parametrize("tile_height", [1, 7, 32, 40])
 def test_jacobi_sweeps_bytes_equal_reference_loop(policy, tile_height, rng):
+    # the unit template's sweeps of row 37x29 of test_convolve.SWEEP_INPUTS,
+    # one id per tile height
     data = rng.normal(100, 20, (37, 29))
     data[rng.random(data.shape) < 0.2] = 0.0
     data[rng.random(data.shape) < 0.2] = -0.0
     r = Raster(data)
-    for iterations in (1, 3):
-        for omega in (1.0, 0.3125):
-            want = _oracle_sweeps(r, BH, policy, iterations, omega).data.tobytes()
-            # no worker count from 2 to 5 divides 37 tiles, 4 and 5 leave
-            # 6 tiles in unequal shares, and 2 or 1 tiles fewer than 3 workers
-            for workers in (1, 2, 3, 4, 5):
-                got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
-                assert got.data.tobytes() == want, (iterations, omega, workers)
-
-
-@pytest.mark.parametrize("shape,policy", [
-    ((5, 5), Boundary.MIRROR),
-    ((1, 9), Boundary.ZERO),
-    ((1, 9), Boundary.WRAP),
-    ((2, 1), Boundary.WRAP),
-    ((1, 6), Boundary.REPLICATE),
-    ((6, 1), Boundary.ZERO),
-    ((6, 1), Boundary.WRAP),
-    ((6, 1), Boundary.REPLICATE),
-])
-def test_jacobi_sweeps_bytes_equal_reference_loop_small(shape, policy, rng):
-    # a tile's runs cross the ends of its rows, and the lanes that fall on
-    # halo columns are dropped: 5 is the narrowest MIRROR raster and 1 the
-    # narrowest of the others
-    r = Raster(rng.normal(0, 5, shape))
-    for iterations in (1, 3):
-        for omega in (1.0, 0.3125):
-            want = _oracle_sweeps(r, BH, policy, iterations, omega).data.tobytes()
-            for tile_height, workers in ((1, 2), (2, 2), (shape[0], 2), (64, 1)):
-                got = _quiet_smooth(r, BH, iterations, policy, tile_height, workers, omega)
-                assert got.data.tobytes() == want
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+        for n, omega in SWEEPS:
+            want = _oracle_sweeps(r, BH, policy, n, omega).data.tobytes()
+            for workers in range(1, 6):
+                got = smooth_jacobi(r, BH, n, policy, tile_height, workers, omega)
+                assert got.data.tobytes() == want, (n, omega, workers)
 
 
 @pytest.mark.parametrize("stencil,iterations", [
@@ -224,18 +189,14 @@ def test_jacobi_sweeps_bytes_equal_reference_loop_small(shape, policy, rng):
 ])
 def test_jacobi_wrap_matches_fourier_filter(stencil, iterations, rng):
     # on a periodic grid each sweep multiplies frequency theta by
-    # 1 - omega A(theta)/center, A(theta) = sum c_pq cos(p theta_x + q theta_y)
-    # as in symbol_range: N sweeps are that factor to the N-th power
+    # 1 - omega A(theta)/center, with A the stencil's symbol: N sweeps are
+    # that factor to the N-th power
     h, w = 96, 128
     data = rng.normal(100, 10, (h, w))
     center = stencil.coeff(0, 0)
     omega = center / symbol_range(stencil)[1]
-    theta_y = 2 * np.pi * np.fft.fftfreq(h)[:, None]
-    theta_x = 2 * np.pi * np.fft.fftfreq(w)[None, :]
-    rad = stencil.radius
-    symbol = sum(stencil.coeff(p, q) * np.cos(p * theta_x + q * theta_y)
-                 for q in range(-rad, rad + 1) for p in range(-rad, rad + 1))
-    want = np.fft.ifft2(np.fft.fft2(data) * (1 - omega * symbol / center) ** iterations).real
+    a = symbol(stencil, 2 * np.pi * np.fft.fftfreq(h), 2 * np.pi * np.fft.fftfreq(w))
+    want = np.fft.ifft2(np.fft.fft2(data) * (1 - omega * a / center) ** iterations).real
     got = smooth_jacobi(Raster(data), stencil, iterations, Boundary.WRAP, omega=omega).data
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -680,13 +641,7 @@ def test_classify_memory_budget():
     bands = BandSet([Raster(rng.normal(100.0, 10.0, (size, size))) for _ in range(8)])
     model = ClassModel(band_count=8, intervals={
         cid: np.tile([90.0 - cid, 110.0 + cid], (8, 1)) for cid in (1, 2, 3)})
-    tracemalloc.start()
-    try:
-        classify_parallelepiped(bands, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * size * size * 8
+    assert traced_peak(lambda: classify_parallelepiped(bands, model)) <= 1.2 * size * size * 8
 
 
 def test_classify_band_count_mismatch():

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from biharm.scene import (
     synth_scene,
 )
 
-from conftest import set_default_workers
+from conftest import set_default_workers, traced_peak
 
 
 def test_degenerate_constant_scene():
@@ -190,13 +189,7 @@ def test_synth_scene_memory_budget():
             Rect(20, 150, 90, 80, (1.5, 2.5, 3.5)),
         ),
     )
-    tracemalloc.start()
-    try:
-        synth_scene(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (spec.band_count + 4) * 256 * 256 * 8
+    assert traced_peak(lambda: synth_scene(spec)) <= (spec.band_count + 4) * 256 * 256 * 8
 
 
 @settings(max_examples=200, deadline=None)
