@@ -61,9 +61,8 @@ def _write_output(bands: BandSet, path, scale: bool = False) -> None:
 
 
 def _make_stencil(args):
-    if args.stencil == "laplacian":
-        return laplacian_baseline()
-    return biharmonic_stencil(args.lx, args.ly)
+    stencil = biharmonic_stencil(args.lx, args.ly)  # checks --lx/--ly for either stencil
+    return laplacian_baseline() if args.stencil == "laplacian" else stencil
 
 
 def _emit_report(lines, path=None):

@@ -128,63 +128,6 @@ def test_stencil_validate_report(capsys, argv, stencil, expected):
     assert jacobi_range(stencil, auto) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
-def test_usage_errors_exit_2(capsys):
-    assert run(["stencil", "--bogus"]) == 2
-    assert run(["no-such-command"]) == 2
-    assert run([]) == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["smooth", "--iters", "0"],
-    ["smooth", "--workers", "0"],
-    ["smooth", "--workers", "x"],
-    ["detect", "--iters", "0"],
-    ["detect", "--workers", "-5"],
-    ["compare", "--iters", "0"],
-    ["compare", "--band", "-1"],
-    ["compare", "--band", "3"],
-    ["bench", "--iters", "0"],
-    ["bench", "--workers", "0"],
-    ["compare", "--workers", "0"],
-    ["bench", "--size", "2048"],
-    ["bench", "--size", "0x64"],
-    ["bench", "--size", "axb"],
-])
-def test_bad_integer_options_exit_2(argv, fixture_scene, tmp_path, capsys):
-    scene, truth = fixture_scene
-    io = {
-        "smooth": ["--in", scene, "--out", str(tmp_path / "o.bfr")],
-        "detect": ["--in", scene, "--out", str(tmp_path / "o.bfr")],
-        "compare": ["--in", scene, "--truth", truth],
-        "bench": ["--size", "64x64"],
-    }
-    capsys.readouterr()
-    assert run(argv[:1] + io[argv[0]] + argv[1:]) == 2
-    err = capsys.readouterr().err
-    assert "error" in err and argv[1] in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["smooth", "detect", "compare", "bench"])
-def test_tile_height_is_not_an_option(command, tmp_path, capsys):
-    # the engine always tiles at DEFAULT_TILE_HEIGHT; the library keeps the
-    # parameter
-    src, truth, out = tmp_path / "in.bfr", tmp_path / "truth.pgm", tmp_path / "o.bfr"
-    save_bandset(BandSet([Raster(np.full((16, 16), 80.0))]), src)
-    save_pgm(Raster(np.zeros((16, 16))), truth, 255)
-    io = {
-        "smooth": ["--in", str(src), "--out", str(out)],
-        "detect": ["--in", str(src), "--out", str(out)],
-        "compare": ["--in", str(src), "--truth", str(truth)],
-        "bench": ["--size", "64x64", "--iters", "1"],
-    }
-    capsys.readouterr()
-    assert run([command, *io[command], "--tile-height", "32"]) == 2
-    captured = capsys.readouterr()
-    assert "error" in captured.err and "--tile-height" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == "" and not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["smooth", "--in", "a", "--out", "b"],
     ["detect", "--in", "a", "--out", "b"],
@@ -193,22 +136,6 @@ def test_tile_height_is_not_an_option(command, tmp_path, capsys):
 def test_engine_commands_parse_the_default_tile_height(argv):
     # only perfbench reads the height from the parsed namespace; no handler does
     assert cli_mod.build_parser().parse_args(argv).tile_height == DEFAULT_TILE_HEIGHT
-
-
-@pytest.mark.parametrize("command", ["detect", "compare"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5", "x"])
-def test_meaningless_sigma_k_exit_2(command, value, fixture_scene, tmp_path, capsys):
-    scene, truth = fixture_scene
-    out, mask = tmp_path / "o.bfr", tmp_path / "mask.pgm"
-    io = {
-        "detect": ["--out", str(out), "--mask-out", str(mask)],
-        "compare": ["--truth", truth],
-    }
-    capsys.readouterr()
-    assert run([command, "--in", scene, *io[command], "--sigma-k", value]) == 2
-    captured = capsys.readouterr()
-    assert "--sigma-k" in captured.err and "Traceback" not in captured.err
-    assert captured.out == "" and not out.exists() and not mask.exists()
 
 
 def test_sigma_k_zero_flags_every_pixel_off_the_mean(tmp_path):
@@ -220,87 +147,6 @@ def test_sigma_k_zero_flags_every_pixel_off_the_mean(tmp_path):
     assert run(["detect", "--in", str(src), "--out", str(tmp_path / "o.bfr"),
                 "--mode", "highpass", "--sigma-k", "0", "--mask-out", str(mask)]) == 0
     assert np.count_nonzero(load_pgm(mask).data) > 1
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["stencil", "--lx", "1e-200"], "non-finite coefficients"),
-    (["stencil", "--lx", "inf"], "positive and finite"),
-    (["smooth", "--in", "{scene}", "--out", "{out}", "--lx", "1e-100"], "non-finite"),
-    (["smooth", "--in", "{scene}", "--out", "{out}", "--iters", "400"], "float32 range"),
-    (["classify", "--in", "{scene}", "--roi", "{roi}", "--out", "{out}"],
-     "parse error: sample outside [0, 255]"),
-    (["classify", "--in", "{scene}", "--roi", "{small}", "--out", "{out}"],
-     "ROI shape (8, 8) does not match bands (32, 32)"),
-    (["classify", "--in", "{scene}", "--roi", "{unlabeled}", "--out", "{out}"],
-     "ROI contains no labeled pixels"),
-    (["smooth", "--in", "{junk}", "--out", "{out}"],
-     "parse error: bad magic b'JUNK' at byte 0"),
-])
-def test_bad_values_exit_1_without_output(argv, message, tmp_path, capsys, rng):
-    paths = {"scene": tmp_path / "scene.bfr", "roi": tmp_path / "roi.pgm",
-             "small": tmp_path / "small.pgm", "unlabeled": tmp_path / "unlabeled.pgm",
-             "junk": tmp_path / "junk.bin", "out": tmp_path / "out.bfr"}
-    save_bandset(BandSet([Raster(rng.normal(100, 10, (32, 32)))]), paths["scene"])
-    paths["roi"].write_bytes(b"P2\n32 32\n255\n" + b"1 " * 1023 + b"1" + b"0" * 400)
-    save_pgm(Raster(np.ones((8, 8))), paths["small"])
-    save_pgm(Raster(np.zeros((32, 32))), paths["unlabeled"])
-    paths["junk"].write_bytes(b"JUNK and more")
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
-        assert run([a.format(**paths) for a in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("biharm: error: ") and message.format(**paths) in err
-    assert "Traceback" not in err
-    assert not paths["out"].exists()
-
-
-def test_divergent_smooth_exit_1_without_output(tmp_path, capsys, rng):
-    scene, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
-    save_pgm(Raster(np.clip(np.round(rng.normal(100, 10, (16, 16))), 0, 255)), scene, 255)
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # plain sweeps diverge
-        assert run(["smooth", "--in", str(scene), "--out", str(out), "--iters", "1000"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("biharm: error: ") and "finite" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["smooth", "--iters", "3"],
-    ["detect", "--mode", "residual"],
-    ["detect", "--mode", "highpass"],
-])
-def test_multiband_pgm_out_exit_1_before_any_band_is_processed(argv, tmp_path, capsys,
-                                                               monkeypatch, rng):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a band was processed")
-
-    monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
-    monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
-    src, out = tmp_path / "in.bfr", tmp_path / "out.pgm"
-    save_bandset(BandSet([Raster(rng.normal(100, 10, (8, 8))) for _ in range(2)]), src)
-    capsys.readouterr()
-    assert run([argv[0], "--in", str(src), "--out", str(out), *argv[1:]]) == 1
-    assert capsys.readouterr().err == "biharm: error: PGM output holds one band, have 2\n"
-    assert not out.exists()
-
-
-def test_synth_multiband_pgm_out_exit_1_without_output(tmp_path, capsys):
-    spec = tmp_path / "spec.txt"
-    spec.write_text("width = 8\nheight = 8\nbands = 3\n")
-    out = tmp_path / "scene.pgm"
-    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "biharm: error: PGM output holds one band, have 3\n"
-    assert not out.exists()
-
-
-def test_runtime_error_exit_1(tmp_path, capsys):
-    assert run(["smooth", "--in", str(tmp_path / "missing.bfr"),
-                "--out", str(tmp_path / "o.bfr")]) == 1
-    assert "error" in capsys.readouterr().err
 
 
 def test_detect_residual_on_constant_input(tmp_path):
@@ -401,6 +247,269 @@ def fixture_scene(tmp_path_factory):
     spec = os.path.join(FIXTURES, "compare_scene.txt")
     assert run(["synth", "--spec", spec, "--out", scene, "--truth-out", truth]) == 0
     return scene, truth
+
+
+def _bfr1_bytes(data):
+    """A BFR1 file put together by hand, so that its payload may hold a NaN."""
+    n, h, w = data.shape
+    names = b"".join(struct.pack("<H", 2) + b"b%d" % i for i in range(n))
+    return b"BFR1" + struct.pack("<III", w, h, n) + names + data.astype("<f4").tobytes()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(fixture_scene, tmp_path_factory):
+    """The inputs that ``CLI_ERRORS`` names, each written once: name -> path."""
+    root, rng = tmp_path_factory.mktemp("cli_inputs"), np.random.default_rng(987654321)
+    data = rng.normal(100, 10, (3, 20, 24))
+    data[:, 5:9, 6:10] += 40.0
+    dirty, truth, labels = data.copy(), np.zeros((20, 24)), np.full((1, 32, 32), 2.0)
+    dirty[1, 7, 3], truth[5:9, 6:10], labels[0, 0, :2] = np.nan, 255.0, 1.5
+    files = {  # a BFR1 file as its bytes, a PGM as its band
+        "band32.bfr": _bfr1_bytes(rng.normal(100, 10, (1, 32, 32))),
+        "two_bands.bfr": _bfr1_bytes(rng.normal(100, 10, (2, 8, 8))),
+        "band48x64.bfr": _bfr1_bytes(rng.normal(100, 10, (1, 48, 64))),
+        "clean.bfr": _bfr1_bytes(data),
+        "short.bfr": _bfr1_bytes(data)[:-1],
+        "nan_in_band_1.bfr": _bfr1_bytes(dirty),
+        "labels_1_5.bfr": _bfr1_bytes(labels),
+        "labels_300.bfr": _bfr1_bytes(np.where(labels == 1.5, 300.0, 1.0)),
+        "junk.bin": b"JUNK and more",
+        "roi_p2.pgm": b"P2\n32 32\n255\n" + b"1 " * 1023 + b"1" + b"0" * 400,
+        "pgm16.pgm": np.clip(np.round(rng.normal(100, 10, (16, 16))), 0, 255),
+        "roi8.pgm": np.ones((8, 8)),
+        "unlabeled32.pgm": np.zeros((32, 32)),
+        "truth95x96.pgm": np.zeros((95, 96)),
+        "truth64x48.pgm": np.zeros((64, 48)),
+        "truth20x24.pgm": truth,
+    }
+    paths = {"scene": fixture_scene[0], "truth": fixture_scene[1],
+             "compare_spec": os.path.join(FIXTURES, "compare_scene.txt")}
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (root / name).write_bytes(content)
+        else:
+            save_pgm(Raster(content), root / name, 255)
+        paths[name.partition(".")[0]] = str(root / name)
+    return paths
+
+
+# A bad input of the CLI and the clean error it must end in. ``argv`` is
+# split on spaces, and a word may hold ``{name}``: a path of ``cli_inputs``,
+# the test's ``tmp_path`` as ``{tmp}``, or the file there that holds ``spec``
+# as ``{spec}``. ``err`` is the whole of stderr when it ends in a newline,
+# else a part of it. ``sweeps`` marks a command that fails only after its
+# sweeps ran.
+CliError = collections.namedtuple("CliError", "test argv code err spec sweeps",
+                                  defaults=(None, False))
+
+_IO = {"smooth": "--in {scene} --out {tmp}/o.bfr", "detect": "--in {scene} --out {tmp}/o.bfr",
+       "compare": "--in {scene} --truth {truth}", "bench": "--size 64x64"}
+_USAGE = "error: argument {}: expected {}, got '{}'"
+_POSITIVE, _SIZE = "a positive integer", "WIDTHxHEIGHT in positive integers, like 2048x2048"
+_INCREMENTS = "biharm: error: increments must be positive and finite, got "
+_OVERFLOW = ("biharm: error: scene band 1 overflows: level, trend, sigma and the anomaly "
+             "amplitudes must keep every sample finite\n")
+
+# Each row keeps the id its case had as a test of its own, so that every
+# earlier id still names exactly its case; a new row goes under
+# test_cli_error_contract.
+CLI_ERRORS = [
+    *[CliError("test_usage_errors_exit_2", argv, 2, f"biharm: error: {message}")
+      for argv, message in [
+          ("stencil --bogus", "unrecognized arguments: --bogus"),
+          ("no-such-command", "argument command: invalid choice: 'no-such-command'"),
+          ("", "the following arguments are required: command")]],
+    *[CliError(f"test_bad_integer_options_exit_2[argv{i}]",
+               f"{command} {_IO[command]} {flag} {value}", 2,
+               _USAGE.format(flag, expected, value) if expected
+               else f"biharm: error: --band {value} is out of range for 3 band(s)\n")
+      for i, (command, flag, value, expected) in enumerate([
+          ("smooth", "--iters", "0", _POSITIVE), ("smooth", "--workers", "0", _POSITIVE),
+          ("smooth", "--workers", "x", _POSITIVE), ("detect", "--iters", "0", _POSITIVE),
+          ("detect", "--workers", "-5", _POSITIVE), ("compare", "--iters", "0", _POSITIVE),
+          ("compare", "--band", "-1", None), ("compare", "--band", "3", None),
+          ("bench", "--iters", "0", _POSITIVE), ("bench", "--workers", "0", _POSITIVE),
+          ("compare", "--workers", "0", _POSITIVE), ("bench", "--size", "2048", _SIZE),
+          ("bench", "--size", "0x64", _SIZE), ("bench", "--size", "axb", _SIZE)])],
+    # the engine always tiles at DEFAULT_TILE_HEIGHT; the library keeps the parameter
+    *[CliError(f"test_tile_height_is_not_an_option[{command}]",
+               f"{command} {_IO[command]} --tile-height 32", 2,
+               "biharm: error: unrecognized arguments: --tile-height 32")
+      for command in ["smooth", "detect", "compare", "bench"]],
+    *[CliError(f"test_meaningless_sigma_k_exit_2[{value}-{command}]",
+               f"{command} {_IO[command]}{mask} --sigma-k {value}", 2,
+               _USAGE.format("--sigma-k", "a finite non-negative number", value))
+      for command, mask in [("detect", " --mask-out {tmp}/mask.pgm"), ("compare", "")]
+      for value in ["nan", "inf", "-1", "-0.5", "x"]],
+    CliError("test_bad_values_exit_1_without_output[argv0-non-finite coefficients]",
+             "stencil --lx 1e-200", 1,
+             "biharm: error: increments lx=1e-200, ly=1.0 give non-finite coefficients\n"),
+    CliError("test_bad_values_exit_1_without_output[argv1-positive and finite]",
+             "stencil --lx inf", 1, f"{_INCREMENTS}lx=inf, ly=1.0\n"),
+    CliError("test_bad_values_exit_1_without_output[argv2-non-finite]",
+             "smooth --in {band32} --out {tmp}/out.bfr --lx 1e-100", 1,
+             "biharm: error: increments lx=1e-100, ly=1.0 give non-finite coefficients\n"),
+    CliError("test_bad_values_exit_1_without_output[argv3-float32 range]",
+             "smooth --in {band32} --out {tmp}/out.bfr --iters 400", 1,
+             "biharm: error: samples exceed the float32 range of BFR1\n", sweeps=True),
+    CliError("test_bad_values_exit_1_without_output[argv4-parse error: sample outside [0, 255]]",
+             "classify --in {band32} --roi {roi_p2} --out {tmp}/out.bfr", 1,
+             "biharm: error: parse error: sample outside [0, 255]\n"),
+    CliError("test_bad_values_exit_1_without_output"
+             "[argv5-ROI shape (8, 8) does not match bands (32, 32)]",
+             "classify --in {band32} --roi {roi8} --out {tmp}/out.bfr", 1,
+             "biharm: error: ROI shape (8, 8) does not match bands (32, 32)\n"),
+    CliError("test_bad_values_exit_1_without_output[argv6-ROI contains no labeled pixels]",
+             "classify --in {band32} --roi {unlabeled32} --out {tmp}/out.bfr", 1,
+             "biharm: error: ROI contains no labeled pixels\n"),
+    CliError("test_bad_values_exit_1_without_output"
+             "[argv7-parse error: bad magic b'JUNK' at byte 0]",
+             "smooth --in {junk} --out {tmp}/out.bfr", 1,
+             "biharm: error: parse error: bad magic b'JUNK' at byte 0\n"),
+    CliError("test_divergent_smooth_exit_1_without_output",
+             "smooth --in {pgm16} --out {tmp}/out.pgm --iters 1000", 1,
+             "biharm: error: raster samples must be finite (no NaN/Inf)\n", sweeps=True),
+    *[CliError(f"test_multiband_pgm_out_exit_1_before_any_band_is_processed[argv{i}]",
+               f"{flags} --in {{two_bands}} --out {{tmp}}/out.pgm", 1,
+               "biharm: error: PGM output holds one band, have 2\n")
+      for i, flags in enumerate(["smooth --iters 3", "detect --mode residual",
+                                 "detect --mode highpass"])],
+    CliError("test_synth_multiband_pgm_out_exit_1_without_output",
+             "synth --spec {spec} --out {tmp}/scene.pgm", 1,
+             "biharm: error: PGM output holds one band, have 3\n",
+             spec="width = 8\nheight = 8\nbands = 3\n"),
+    CliError("test_runtime_error_exit_1", "smooth --in {tmp}/missing.bfr --out {tmp}/o.bfr", 1,
+             "biharm: error: [Errno 2] No such file or directory: '{tmp}/missing.bfr'\n"),
+    CliError("test_compare_truth_of_wrong_size_exit_1", "compare --in {scene} --truth {truth95x96}",
+             1, "biharm: error: shape mismatch: (96, 96) vs (95, 96)\n"),
+    CliError("test_compare_truth_of_wrong_shape_exit_1_before_any_sweep",
+             "compare --in {band48x64} --truth {truth64x48} --iters 3", 1,
+             "biharm: error: shape mismatch: (48, 64) vs (64, 48)\n"),
+    *[CliError(f"test_compare_band_out_of_range_message[{source}-{band}-{count}]",
+               f"compare --in {{{source}}} --truth {{truth}} --band {band}", 2,
+               f"biharm: error: --band {band} is out of range for {count} band(s)\n")
+      for source, band, count in [("scene", "5", 3), ("scene", "-1", 3), ("truth", "1", 1)]],
+    # the 3-band scene where one band is expected
+    *[CliError(f"test_multiband_truth_roi_or_reference_exit_1[{command}-{flag}]",
+               f"{command} --in {{scene}} {argv}", 1,
+               f"biharm: error: {flag} {{scene}} holds 3 bands, expected 1\n")
+      for command, flag, argv in [
+          ("compare", "--truth", "--truth {scene}"),
+          ("classify", "--roi", "--roi {scene} --out {tmp}/labels.pgm --truth {truth}"),
+          ("classify", "--truth", "--roi {truth} --out {tmp}/labels.pgm --truth {scene}")]],
+    CliError("test_compare_of_the_band_with_a_nan_exit_1",
+             "compare --in {nan_in_band_1} --truth {truth20x24} --band 1", 1,
+             "biharm: error: parse error: non-finite sample in payload\n"),
+    *[CliError(f"test_compare_checks_the_whole_payload_length[{band}]",
+               f"compare --in {{short}} --truth {{truth20x24}} --band {band}", 1,
+               "biharm: error: parse error: payload length 5759, expected 5760\n")
+      for band in ["0", "1", "2"]],
+    CliError("test_classify_non_integer_roi_label_exit_1_without_output",
+             "classify --in {band32} --roi {labels_1_5} --out {tmp}/labels.pgm", 1,
+             "biharm: error: ROI label 1.5 is not an integer\n"),
+    # the label map is an 8-bit PGM: class 300 would be written as 255
+    CliError("test_classify_class_id_above_255_exit_1_without_output",
+             "classify --in {band32} --roi {labels_300} --out {tmp}/labels.pgm", 1,
+             "biharm: error: ROI class id 300 does not fit the 8-bit label PGM (at most 255)\n"),
+    CliError("test_synth_negative_radius_past_the_edge_exit_1",
+             "synth --spec {spec} --out {tmp}/scene.bfr", 1, "biharm: error: disk footprint "
+             "out of bounds: Disk(cx=0.0, cy=0.0, radius=-2.0, amplitudes=(5.0,))\n",
+             spec="width = 16\nheight = 16\nanomaly = disk 0 0 -2 5\n"),
+    # a comment keeps each case on line 4 and repeats no key
+    *[CliError(f"test_synth_spec_numbers_exit_1[{line}-{message}]",
+               "synth --spec {spec} --out {tmp}/scene.bfr", 1, f"biharm: error: {message}\n",
+               spec=f"width = 16\nheight = 16\n# the case\n{line}\n")
+      for line, message in [
+          ("sigma = nan", "noise sigma must be finite and non-negative, got nan"),
+          ("level = inf", "level must be finite, got inf"),
+          ("trend = nan 0", "trend slopes must be finite, got (nan, 0.0)"),
+          ("seed = -1", "seed must be in [0, 2**64), got -1"),
+          ("bands = 0", "band count must be positive"),
+          # BFR1 counts bands in a u32; no band is made before the check
+          ("bands = 4294967296", "BFR1 output holds at most 4294967295 bands, have 4294967296"),
+          ("bands = 100000000000000000000",
+           "BFR1 output holds at most 4294967295 bands, have 100000000000000000000"),
+          ("bogus", "line 4: expected key = value, got 'bogus'"),
+          ("width = 8", "line 4: duplicate key 'width'"),
+          ("trend = 1", "line 4: trend needs 2 slopes"),
+          ("anomaly = disk 1 2 3", "line 4: disk needs: disk cx cy radius amp..."),
+          ("anomaly = rect 1 2 3 4", "line 4: rect needs: rect x0 y0 width height amp..."),
+          ("anomaly = rect 1 1 0 3 5", "rectangle must be at least 1x1: "
+           "Rect(x0=1, y0=1, width=0, height=3, amplitudes=(5.0,))"),
+          ("anomaly = disk 1e308 5 1e308 5",  # cx + r overflows to inf
+           "disk footprint out of bounds: "
+           "Disk(cx=1e+308, cy=5.0, radius=1e+308, amplitudes=(5.0,))")]],
+    *[CliError(f"test_synth_overflowing_spec_numbers_exit_1[{lines}]",
+               "synth --spec {spec} --out {tmp}/scene.bfr", 1, _OVERFLOW,
+               spec=f"width = 16\nheight = 16\n{lines}\n")
+      for lines in ["level = 1e308\nanomaly = rect 1 1 2 2 1e308", "trend = 1e308 0"]],
+    *[CliError(f"test_synth_seed_outside_64_bits_exit_2[{seed}]",
+               f"synth --spec {{compare_spec}} --out {{tmp}}/scene.bfr --seed {seed}", 2,
+               _USAGE.format("--seed", "an integer in [0, 2**64)", seed))
+      for seed in ["-1", str(2**64), "x", "1.5"]],
+    # --lx and --ly are checked whichever stencil is asked for
+    CliError("test_cli_error_contract[stencil-laplacian-lx-0]",
+             "stencil --stencil laplacian --lx 0", 1, f"{_INCREMENTS}lx=0.0, ly=1.0\n"),
+    CliError("test_cli_error_contract[smooth-laplacian-ly-nan]",
+             "smooth --in {band32} --out {tmp}/out.bfr --stencil laplacian --ly nan", 1,
+             f"{_INCREMENTS}lx=1.0, ly=nan\n"),
+    CliError("test_cli_error_contract[detect-laplacian-lx-inf]",
+             "detect --in {band32} --out {tmp}/out.bfr --stencil laplacian --lx inf", 1,
+             f"{_INCREMENTS}lx=inf, ly=1.0\n"),
+    CliError("test_cli_error_contract[compare-report-in-a-missing-directory]",
+             "compare --in {scene} --truth {truth} --report {tmp}/missing/report.txt", 1,
+             "biharm: error: [Errno 2] No such file or directory: '{tmp}/missing/report.txt'\n",
+             sweeps=True),
+    CliError("test_cli_error_contract[stencil-csv-in-a-missing-directory]",
+             "stencil --csv {tmp}/missing/s.csv", 1,
+             "biharm: error: [Errno 2] No such file or directory: '{tmp}/missing/s.csv'\n"),
+    CliError("test_cli_error_contract[bench-size-3x3]", "bench --size 3x3", 1,
+             "biharm: error: mirror boundary needs dimensions > 4, got 3x3\n"),
+]
+
+
+def _cli_error_test(name):
+    """The test of the rows of ``CLI_ERRORS`` under ``name``: one id per row,
+    or one id that runs each row when the rows carry no bracketed id. Each
+    row must give its exit code and stderr, nothing on stdout, no traceback,
+    no new file, no warning but the divergence one, and no band smoothed or
+    convolved unless it is marked ``sweeps``."""
+    rows = [row for row in CLI_ERRORS if row.test.partition("[")[0] == name]
+
+    @pytest.mark.parametrize("row", rows, ids=[row.test[len(name) + 1:-1] for row in rows])
+    def test(row, cli_inputs, tmp_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a band was processed")
+
+        if not row.sweeps:
+            monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
+            monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
+        paths = {**cli_inputs, "tmp": str(tmp_path), "spec": str(tmp_path / "spec.txt")}
+        if row.spec is not None:
+            (tmp_path / "spec.txt").write_text(row.spec)
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "Jacobi iteration diverges", RuntimeWarning)
+            code = run([word.format(**paths) for word in row.argv.split()])
+        captured, err = capsys.readouterr(), row.err.format(**paths)
+        assert (code, captured.out) == (row.code, "")
+        assert (captured.err == err) if err.endswith("\n") else (err in captured.err), captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.iterdir()) == files
+
+    if rows[0].test != name:
+        return test
+
+    def test_bare(cli_inputs, tmp_path, monkeypatch, capsys):
+        for row in rows:
+            test(row, cli_inputs, tmp_path, monkeypatch, capsys)
+    return test_bare
+
+
+for _name in dict.fromkeys(row.test.partition("[")[0] for row in CLI_ERRORS):
+    globals()[_name] = _cli_error_test(_name)
 
 
 def _serial_compare_report(scene, truth, band_index, boundary, iters, workers, sigma_k):
@@ -642,130 +751,15 @@ def test_each_input_is_opened_once(argv, inputs, fixture_scene, tmp_path, monkey
     assert {paths[k]: opens[paths[k]] for k in inputs} == {paths[k]: 1 for k in inputs}
 
 
-def test_compare_truth_of_wrong_size_exit_1(fixture_scene, tmp_path, capsys):
-    scene, _ = fixture_scene
-    truth = tmp_path / "truth.pgm"
-    save_pgm(Raster(np.zeros((95, 96))), truth, 255)
-    capsys.readouterr()
-    assert run(["compare", "--in", scene, "--truth", str(truth)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("biharm: error: ") and "shape mismatch" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
-
-
-def test_compare_truth_of_wrong_shape_exit_1_before_any_sweep(tmp_path, capsys,
-                                                              monkeypatch, rng):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a band was processed")
-
-    monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
-    monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
-    scene, truth = tmp_path / "scene.bfr", tmp_path / "truth.pgm"
-    save_bandset(BandSet([Raster(rng.normal(100, 10, (48, 64)))]), scene)
-    save_pgm(Raster(np.zeros((64, 48))), truth, 255)
-    capsys.readouterr()
-    assert run(["compare", "--in", str(scene), "--truth", str(truth), "--iters", "3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "biharm: error: shape mismatch: (48, 64) vs (64, 48)\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("source,band,count", [
-    ("scene", "5", 3),
-    ("scene", "-1", 3),
-    ("truth", "1", 1),  # a PGM holds one band
-])
-def test_compare_band_out_of_range_message(source, band, count, fixture_scene, capsys):
-    scene, truth = fixture_scene
-    capsys.readouterr()
-    assert run(["compare", "--in", {"scene": scene, "truth": truth}[source],
-                "--truth", truth, "--band", band]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"biharm: error: --band {band} is out of range for {count} band(s)\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("command,flag", [
-    ("compare", "--truth"),
-    ("classify", "--roi"),
-    ("classify", "--truth"),
-])
-def test_multiband_truth_roi_or_reference_exit_1(command, flag, fixture_scene, tmp_path,
-                                                 capsys, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a band was smoothed")
-
-    monkeypatch.setattr(cli_mod, "smooth_jacobi", forbidden)
-    monkeypatch.setattr(pipeline_mod, "convolve", forbidden)
-    scene, truth = fixture_scene
-    out = tmp_path / "labels.pgm"
-    inputs = {"--truth": truth, "--roi": truth}
-    inputs[flag] = scene  # the 3-band scene where one band is expected
-    argv = {
-        "compare": ["--truth", inputs["--truth"]],
-        "classify": ["--roi", inputs["--roi"], "--out", str(out), "--truth", inputs["--truth"]],
-    }[command]
-    capsys.readouterr()
-    assert run([command, "--in", scene, *argv]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"biharm: error: {flag} {scene} holds 3 bands, expected 1\n"
-    assert captured.out == "" and not out.exists()
-
-
-def _bfr1_bytes(data):
-    """A BFR1 file put together by hand, so that its payload may hold a NaN."""
-    n, h, w = data.shape
-    names = b"".join(struct.pack("<H", 2) + b"b%d" % i for i in range(n))
-    return b"BFR1" + struct.pack("<III", w, h, n) + names + data.astype("<f4").tobytes()
-
-
-@pytest.fixture
-def nan_in_band_1(tmp_path, rng):
-    """(clean scene, the same scene with a NaN in band 1, truth) paths."""
-    data = rng.normal(100, 10, (3, 20, 24))
-    data[:, 5:9, 6:10] += 40.0
-    clean, dirty, truth = tmp_path / "clean.bfr", tmp_path / "dirty.bfr", tmp_path / "t.pgm"
-    clean.write_bytes(_bfr1_bytes(data))
-    data[1, 7, 3] = np.nan
-    dirty.write_bytes(_bfr1_bytes(data))
-    mask = np.zeros((20, 24))
-    mask[5:9, 6:10] = 255.0
-    save_pgm(Raster(mask), truth, 255)
-    return str(clean), str(dirty), str(truth)
-
-
 @pytest.mark.parametrize("band", ["0", "2"])
-def test_compare_reads_only_the_compared_band(band, nan_in_band_1, capsys):
-    clean, dirty, truth = nan_in_band_1
+def test_compare_reads_only_the_compared_band(band, cli_inputs, capsys):
+    clean, dirty, truth = (cli_inputs[k] for k in ("clean", "nan_in_band_1", "truth20x24"))
     capsys.readouterr()
     assert run(["compare", "--in", clean, "--truth", truth, "--band", band]) == 0
     expected = capsys.readouterr().out
     assert run(["compare", "--in", dirty, "--truth", truth, "--band", band]) == 0
     assert capsys.readouterr().out == expected
     assert expected.startswith(f"band=b{band}\n")
-
-
-def test_compare_of_the_band_with_a_nan_exit_1(nan_in_band_1, capsys):
-    _, dirty, truth = nan_in_band_1
-    capsys.readouterr()
-    assert run(["compare", "--in", dirty, "--truth", truth, "--band", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "biharm: error: parse error: non-finite sample in payload\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("band", ["0", "1", "2"])
-def test_compare_checks_the_whole_payload_length(band, nan_in_band_1, tmp_path, capsys):
-    clean, _, truth = nan_in_band_1
-    short = tmp_path / "short.bfr"
-    with open(clean, "rb") as fh:
-        short.write_bytes(fh.read()[:-1])
-    capsys.readouterr()
-    assert run(["compare", "--in", str(short), "--truth", truth, "--band", band]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("biharm: error: parse error: payload length 5759, "
-                            "expected 5760\n")
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("band", ["0", "2"])
@@ -811,47 +805,6 @@ def test_classify_with_truth(tmp_path, capsys):
     assert np.array_equal(load_pgm(out).data, truth)
 
 
-def test_classify_non_integer_roi_label_exit_1_without_output(tmp_path, capsys):
-    src, roi, out = tmp_path / "in.bfr", tmp_path / "roi.bfr", tmp_path / "labels.pgm"
-    save_bandset(BandSet([Raster(np.full((4, 4), 100.0))]), src)
-    labels = np.full((4, 4), 2.0)
-    labels[0, :2] = 1.5
-    save_bandset(BandSet([Raster(labels)]), roi)
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning on the way out either
-        assert run(["classify", "--in", str(src), "--roi", str(roi),
-                    "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "biharm: error: ROI label 1.5 is not an integer\n"
-    assert not out.exists()
-
-
-def test_classify_class_id_above_255_exit_1_without_output(tmp_path, capsys):
-    # the label map is an 8-bit PGM: class 300 would be written as 255
-    src, roi, out = tmp_path / "in.bfr", tmp_path / "roi.bfr", tmp_path / "labels.pgm"
-    save_bandset(BandSet([Raster(np.arange(16.0).reshape(4, 4))]), src)
-    labels = np.ones((4, 4))
-    labels[2:] = 300.0
-    save_bandset(BandSet([Raster(labels)]), roi)
-    capsys.readouterr()
-    assert run(["classify", "--in", str(src), "--roi", str(roi), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("biharm: error: ROI class id 300 does not fit the 8-bit "
-                            "label PGM (at most 255)\n")
-    assert captured.out == "" and not out.exists()
-
-
-def test_synth_negative_radius_past_the_edge_exit_1(tmp_path, capsys):
-    spec = tmp_path / "spec.txt"
-    spec.write_text("width = 16\nheight = 16\nanomaly = disk 0 0 -2 5\n")
-    out = tmp_path / "scene.bfr"
-    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("biharm: error: ") and "out of bounds" in err
-    assert "Traceback" not in err and not out.exists()
-
-
 def test_synth_seed_override(tmp_path):
     spec = os.path.join(FIXTURES, "compare_scene.txt")
     a = tmp_path / "a.bfr"
@@ -895,51 +848,6 @@ def test_bench_bit_identity_sees_the_sign_of_zero(monkeypatch):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("line,message", [
-    ("sigma = nan", "noise sigma must be finite and non-negative, got nan"),
-    ("level = inf", "level must be finite, got inf"),
-    ("trend = nan 0", "trend slopes must be finite, got (nan, 0.0)"),
-    ("seed = -1", "seed must be in [0, 2**64), got -1"),
-    ("bands = 0", "band count must be positive"),
-    # BFR1 counts bands in a u32; no band is made before the check
-    ("bands = 4294967296", "BFR1 output holds at most 4294967295 bands, have 4294967296"),
-    ("bands = 100000000000000000000",
-     "BFR1 output holds at most 4294967295 bands, have 100000000000000000000"),
-    ("bogus", "line 4: expected key = value, got 'bogus'"),
-    ("width = 8", "line 4: duplicate key 'width'"),
-    ("trend = 1", "line 4: trend needs 2 slopes"),
-    ("anomaly = disk 1 2 3", "line 4: disk needs: disk cx cy radius amp..."),
-    ("anomaly = rect 1 2 3 4", "line 4: rect needs: rect x0 y0 width height amp..."),
-    ("anomaly = rect 1 1 0 3 5",
-     "rectangle must be at least 1x1: Rect(x0=1, y0=1, width=0, height=3, amplitudes=(5.0,))"),
-    ("anomaly = disk 1e308 5 1e308 5",  # cx + r overflows to inf
-     "disk footprint out of bounds: Disk(cx=1e+308, cy=5.0, radius=1e+308, amplitudes=(5.0,))"),
-])
-def test_synth_spec_numbers_exit_1(line, message, tmp_path, capsys):
-    spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"
-    # a comment keeps each case on line 4 and repeats no key
-    spec.write_text(f"width = 16\nheight = 16\n# the case\n{line}\n")
-    assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"biharm: error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("lines", [
-    "level = 1e308\nanomaly = rect 1 1 2 2 1e308",
-    "trend = 1e308 0",
-])
-def test_synth_overflowing_spec_numbers_exit_1(lines, tmp_path, capsys):
-    spec, out = tmp_path / "spec.txt", tmp_path / "scene.bfr"
-    spec.write_text(f"width = 16\nheight = 16\n{lines}\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "biharm: error: scene band 1 overflows: level, trend, sigma and the "
-        "anomaly amplitudes must keep every sample finite\n")
-    assert not out.exists()
-
-
 def test_synth_out_of_memory_exit_1(monkeypatch, tmp_path, capsys):
     # a stand-in for numpy's allocation failure: a real huge allocation
     # could take the machine's memory instead of failing
@@ -952,16 +860,6 @@ def test_synth_out_of_memory_exit_1(monkeypatch, tmp_path, capsys):
     assert run(["synth", "--spec", spec, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "biharm: error: out of memory: Unable to allocate 7.28 TiB for an array\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("seed", ["-1", str(2**64), "x", "1.5"])
-def test_synth_seed_outside_64_bits_exit_2(seed, tmp_path, capsys):
-    spec = os.path.join(FIXTURES, "compare_scene.txt")
-    out = tmp_path / "scene.bfr"
-    assert run(["synth", "--spec", spec, "--out", str(out), "--seed", seed]) == 2
-    err = capsys.readouterr().err
-    assert "--seed" in err and "Traceback" not in err
     assert not out.exists()
 
 
